@@ -133,18 +133,6 @@ def _emit(payload: dict, out: Path | None) -> None:
         out.write_text(text + "\n")
 
 
-def _metrics_dict(m: metrics_mod.MetricsRecord) -> dict:
-    return {
-        "n": m.n,
-        "degree": m.degree,
-        "diameter": m.diameter,
-        "dist_sum": int(m.dist_sum) if m.dist_sum.denominator == 1 else float(m.dist_sum),
-        "mpl": float(m.mpl),
-        "bisection": m.bisection,
-        "bisection_exact": m.bisection_exact,
-    }
-
-
 def cmd_search(args: argparse.Namespace) -> int:
     config = SearchConfig(
         workers=args.workers,
@@ -205,7 +193,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             "restarts": args.restarts,
             "seed": args.seed,
         },
-        "result": _metrics_dict(m),
+        "result": m.to_dict(),
         "timing": {"wall_s": time.perf_counter() - t0},
     }
     _emit(payload, Path(args.out) if args.out else None)

@@ -1,12 +1,15 @@
 """Distance and bisection metrics for interconnect topologies.
 
 Diameter and mean path length come from breadth-first search; vertex-symmetric
-graphs need a single source. The search hot path uses a frontier held in one
-big integer per level: a circulant frontier expands by rotating the bit array
-once per jump, so a whole BFS level costs a handful of word-level shift/or
-operations regardless of degree.
+graphs need a single source. `circulant_distance_profile` is the one circulant
+BFS kernel, used by the search scan and by checkpoint verification: the
+frontier is held in one big integer per level and expands by two shifts per
+jump, so a whole BFS level costs a handful of word-level shift/or operations
+regardless of degree. Given the running best it stops a candidate as soon as
+the candidate is provably worse (strictly, so ties always finish).
 
 Bisection width is the minimum edge cut over exactly balanced bipartitions.
+`bisection_method` is the single policy choosing between the two solvers.
 Small graphs are solved exactly by enumerating every bipartition containing
 vertex 0 (meet-in-the-middle over two half-masks so the pair space is scanned
 as vectorized table lookups plus one small matrix product). Larger graphs get
@@ -80,6 +83,19 @@ class MetricsRecord:
             return Fraction(0)
         return self.dist_sum / (self.n - 1)
 
+    def to_dict(self) -> dict:
+        """JSON-able form; dist_sum stays an integer when it is one."""
+        dist_sum = self.dist_sum
+        return {
+            "n": self.n,
+            "degree": self.degree,
+            "diameter": self.diameter,
+            "dist_sum": int(dist_sum) if dist_sum.denominator == 1 else float(dist_sum),
+            "mpl": float(self.mpl),
+            "bisection": self.bisection,
+            "bisection_exact": self.bisection_exact,
+        }
+
 
 def bfs_distances(t: Topology, source: int) -> list[int]:
     """Hop distances from source; unreached vertices are marked -1.
@@ -108,33 +124,50 @@ def bfs_distances(t: Topology, source: int) -> list[int]:
     return dist
 
 
-def circulant_distance_profile(n: int, jumps: tuple[int, ...]) -> tuple[int, int] | None:
-    """(diameter, distance sum) from vertex 0 of a circulant, or None if
-    disconnected.
+def circulant_distance_profile(
+    n: int, jumps: tuple[int, ...], bound: tuple[int, int] | None = None
+) -> tuple[int, int] | None:
+    """(diameter, distance sum) from vertex 0 of a circulant, or None if it is
+    disconnected or provably worse than `bound`.
 
-    The frontier is one n-bit integer; each level ORs together the left and
-    right rotations by every jump, then strips already-visited bits.
+    This is the search's scan kernel. The frontier is one n-bit integer; the
+    frontier doubled into 2n bits turns each left or right rotation by a
+    jump into a single right shift, and the unvisited mask strips both the
+    wrapped-around high bits and the vertices already reached.
+
+    `bound` is a running best (best_d, best_s). Before each level is
+    expanded, while some vertex is unreached, the candidate is dropped when
+    its diameter must exceed best_d (d >= best_d), or when every unreached
+    vertex lands on level best_d and that already gives a distance sum above
+    best_s. Both tests are strict, so a profile equal to the bound (a tie) is
+    returned exactly; a profile lexicographically above it always gives None.
     """
     if n == 1:
-        return (0, 0)
-    full = (1 << n) - 1
-    visited = 1
+        return (0, 0) if bound is None or (0, 0) <= bound else None
+    # Without a bound, best_d = n never triggers: the diameter is below n.
+    best_d, best_s = (n, 0) if bound is None else bound
+    unvisited = (1 << n) - 2
     frontier = 1
+    reached = 1
     d = 0
     total = 0
     while True:
+        if d + 1 >= best_d and (d >= best_d or total + best_d * (n - reached) > best_s):
+            return None
+        wrapped = frontier | (frontier << n)
         nxt = 0
         for s in jumps:
-            c = n - s
-            nxt |= (frontier << s) | (frontier >> c) | (frontier >> s) | (frontier << c)
-        new = nxt & full & ~visited
+            nxt |= (wrapped >> s) | (wrapped >> (n - s))
+        new = nxt & unvisited
         if not new:
             return None
         d += 1
-        total += d * new.bit_count()
-        visited |= new
-        if visited == full:
-            return (d, total)
+        count = new.bit_count()
+        total += d * count
+        reached += count
+        if reached == n:
+            return d, total
+        unvisited ^= new
         frontier = new
 
 
@@ -199,6 +232,15 @@ def _subset_tables(adj_masks: list[int], degs: list[int]) -> tuple[np.ndarray, n
         ew[m] = ew[rest] + (adj_masks[v] & rest).bit_count()
         ds[m] = ds[rest] + degs[v]
     return np.array(ew, dtype=np.int64), np.array(ds, dtype=np.int64)
+
+
+def bisection_method(n: int, exact_limit: int = DEFAULT_EXACT_LIMIT) -> str | None:
+    """How the bisection width of an n-vertex graph is obtained: "exact" for
+    even n up to min(exact_limit, 40), "heuristic" for larger even n, and None
+    for odd n, which has no strictly balanced bisection."""
+    if n % 2:
+        return None
+    return "exact" if n <= min(exact_limit, _EXACT_HARD_CAP) else "heuristic"
 
 
 def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
@@ -618,17 +660,18 @@ def compute_metrics(
 ) -> MetricsRecord:
     """Full MetricsRecord: BFS metrics plus a bisection width.
 
-    Bisection is exact for even n up to exact_limit, heuristic above it, or
-    recomputed from a supplied partition. Odd vertex counts cannot be
-    strictly bisected, so bisection is None there.
+    Bisection is recomputed from a supplied partition, or else obtained as
+    `bisection_method` decides: exact, heuristic, or None for odd vertex
+    counts, which cannot be strictly bisected.
     """
     diameter, dist_sum, _ = diameter_mpl(t)
     bisection: int | None
+    method = bisection_method(t.n, exact_limit)
     if partition is not None:
         bisection, exact = balanced_partition_cut(t, partition), False
-    elif t.n % 2 == 1:
+    elif method is None:
         bisection, exact = None, False
-    elif t.n <= exact_limit and t.n <= _EXACT_HARD_CAP:
+    elif method == "exact":
         bisection, exact = bisection_exact(t, exact_limit), True
     else:
         bisection, exact = bisection_heuristic(t, restarts, seed), False

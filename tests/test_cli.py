@@ -202,6 +202,15 @@ class TestSearchCommand:
         rc = main(["search", "--n", "32", "--k", "4", "--checkpoint", str(ck)])
         assert rc == EXIT_CHECKPOINT
 
+    def test_exact_limit_above_cap_falls_back_to_heuristic(self, capsys):
+        rc = main(
+            ["search", "--n", "64", "--k", "4", "--workers", "1",
+             "--exact-bisection-limit", "64", "--restarts", "4"]
+        )
+        assert rc == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results and all(rec["bisection_exact"] is False for rec in results)
+
 
 class TestUsage:
     def test_no_args(self):

@@ -21,6 +21,7 @@ from circnet.metrics import (
     bfs_distances,
     bisection_exact,
     bisection_heuristic,
+    bisection_method,
     circulant_distance_profile,
     compute_metrics,
     cut_size,
@@ -123,6 +124,33 @@ class TestCirculantProfile:
     def test_disconnected_is_none(self):
         assert circulant_distance_profile(8, (2, 4)) is None
 
+    @given(
+        st.integers(2, 64),
+        st.lists(st.integers(0, 500), min_size=1, max_size=4),
+        st.integers(-2, 2),
+        st.integers(-6, 6),
+    )
+    def test_bounded_keeps_exactly_the_profiles_within_bound(self, n, picks, dd, ds):
+        # Bounds drawn around the true profile, so ties (dd = ds = 0), near
+        # misses on either side and whole-level differences all occur.
+        jumps = tuple(sorted({1 + (p % (n // 2)) for p in picks}))
+        dist = bfs_distances(circulant(JumpSet(n, jumps)), 0)
+        if -1 in dist:
+            bound = (n + dd, n * n + ds)
+            assert circulant_distance_profile(n, jumps, bound) is None
+            return
+        profile = (max(dist), sum(dist))
+        bound = (profile[0] + dd, profile[1] + ds)
+        want = profile if profile <= bound else None
+        assert circulant_distance_profile(n, jumps, bound) == want
+
+    def test_bound_tie_survives_and_worse_is_dropped(self):
+        assert circulant_distance_profile(32, (1, 7), (4, 84)) == (4, 84)
+        assert circulant_distance_profile(32, (1, 7), (5, 0)) == (4, 84)
+        assert circulant_distance_profile(32, (1, 7), (4, 83)) is None
+        assert circulant_distance_profile(32, (1, 7), (3, 10**6)) is None
+        assert circulant_distance_profile(1, (), (0, 0)) == (0, 0)
+
 
 class TestDiameterMpl:
     def test_hypercube5(self):
@@ -170,6 +198,20 @@ class TestDiameterMpl:
         extra = rnd.choice(non_edges)
         _, s1, _ = diameter_mpl(from_edges(n, t.edges() + [extra]))
         assert s1 <= s0
+
+
+class TestBisectionMethod:
+    def test_policy(self):
+        assert bisection_method(33, 64) is None
+        assert bisection_method(32) == "exact"
+        assert bisection_method(34) == "heuristic"
+        assert bisection_method(40, 64) == "exact"
+        assert bisection_method(42, 64) == "heuristic"
+        assert bisection_method(64, 64) == "heuristic"
+
+    def test_compute_metrics_follows_policy_above_the_cap(self):
+        m = compute_metrics(circulant(JumpSet(64, (1, 14))), exact_limit=64, restarts=4)
+        assert m.bisection is not None and not m.bisection_exact
 
 
 class TestBisectionExact:

@@ -12,14 +12,18 @@ import pytest
 from circnet.combinatorics import binomial
 from circnet.metrics import bisection_exact
 from circnet.search import (
+    CheckpointError,
     RankRange,
     SearchConfig,
     count_space,
     merge,
     partition_ranks,
     run_search,
+    save_checkpoint,
     scan_range,
     search_optimal,
+    write_results,
+    _RangeState,
 )
 from circnet.topology import JumpSet, adam_multiply, circulant, jump_space
 
@@ -230,3 +234,68 @@ class TestSearchOptimal:
     def test_infeasible_degree_propagates(self):
         with pytest.raises(Exception):
             search_optimal(9, 5)
+
+
+class TestChunkingIndependence:
+    def test_records_identical_for_any_chunking_and_workers(self, tmp_path):
+        # (35, 6) has 106 ties; chunk sizes of 1 and 7 restart the bounded
+        # kernel from many different running bests.
+        outputs = {}
+        for every in (1, 7, SearchConfig().checkpoint_every):
+            for workers in (1, 3):
+                records, merged = run_search(
+                    35, 6, SearchConfig(workers=workers, checkpoint_every=every)
+                )
+                out = tmp_path / f"r{every}-{workers}.jsonl"
+                write_results(out, records)
+                outputs[(every, workers)] = (
+                    records, merged.best_diameter, merged.best_dist_sum,
+                    merged.candidates, out.read_bytes(),
+                )
+        assert len(outputs[(1, 1)][0]) == 106
+        first = outputs[(1, 1)]
+        for key, got in outputs.items():
+            assert got == first, key
+
+
+def _forged(tmp_path, best_d, best_s, candidates):
+    """A finished one-range (32, 4) checkpoint carrying the given best."""
+    total = count_space(32, 4)
+    state = _RangeState(
+        RankRange(0, total), cursor=total, best_d=best_d, best_s=best_s,
+        candidates=candidates,
+    )
+    ck = tmp_path / "ck.jsonl"
+    save_checkpoint(ck, 32, 4, True, total, [state])
+    return ck
+
+
+class TestCheckpointVerification:
+    @pytest.mark.parametrize(
+        "best_d, best_s, candidates",
+        [
+            (1, 31, [(1, 2)]),  # claims the complete-graph optimum
+            (4, 83, [(1, 7)]),  # true optimum, distance sum off by one
+            (5, 84, [(1, 7)]),  # diameter off by one
+            (4, 84, []),  # best without candidates
+            (None, None, [(1, 7)]),  # candidates without a best
+            (4, 84, [(7, 9)]),  # misses the fixed jump 1
+            (4, 84, [(1, 16)]),  # free jump above hi = 15
+            (4, 84, [(1, 7, 9)]),  # one free jump too many
+            (4, 84, [(1, 1)]),  # duplicate jump
+            (4.0, 84, [(1, 7)]),  # non-integral best
+        ],
+    )
+    def test_forged_checkpoint_rejected(self, tmp_path, best_d, best_s, candidates):
+        ck = _forged(tmp_path, best_d, best_s, candidates)
+        with pytest.raises(CheckpointError):
+            run_search(32, 4, SearchConfig(workers=1, checkpoint_path=ck))
+
+    def test_genuine_finished_checkpoint_accepted(self, tmp_path):
+        full = scan_range(32, 4, RankRange(0, count_space(32, 4)))
+        ck = _forged(
+            tmp_path, full.best_diameter, full.best_dist_sum,
+            [js.jumps for js in full.candidates],
+        )
+        resumed = run_search(32, 4, SearchConfig(workers=1, checkpoint_path=ck))[0]
+        assert resumed == run_search(32, 4, SearchConfig(workers=1))[0]
