@@ -10,30 +10,34 @@ the candidate is provably worse (strictly, so ties always finish).
 
 Bisection width is the minimum edge cut over exactly balanced bipartitions.
 `bisection_method` is the single policy choosing between the two solvers.
-Small graphs are solved exactly by enumerating every bipartition containing
-vertex 0 (meet-in-the-middle over two half-masks so the pair space is scanned
-as vectorized table lookups plus one small matrix product). Larger graphs get
-a restarted multilevel Kernighan-Lin search that only ever holds balanced
-states, or an externally supplied partition whose cut is recomputed, never
-trusted.
+Small graphs are solved exactly over every bipartition containing vertex 0:
+meet-in-the-middle over a low-half and a high-half mask, scanned as numpy
+table lookups plus one small matrix product per chunk, with whole rows and
+columns skipped when the cuts inside the two halves already reach the best
+cut found (a valid lower bound, so the result equals full enumeration).
+Larger graphs get a restarted multilevel Kernighan-Lin search that only ever
+holds balanced states, over a dense weight matrix so each swap step scores
+its whole candidate window at once; or an externally supplied partition
+whose cut is recomputed, never trusted.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .topology import Topology
+from .topology import Topology, mixed_radix
 
 DEFAULT_EXACT_LIMIT = 32
 DEFAULT_RESTARTS = 64
 
 # Table sizes for the exact solver grow as 2**(n/2); 40 keeps them near 1M.
 _EXACT_HARD_CAP = 40
+# Entries of one block of candidate cuts in the exact solver.
+_EXACT_CHUNK = 4_000_000
 
 
 class DisconnectedError(ValueError):
@@ -208,30 +212,25 @@ def cut_size(t: Topology, side_a: set[int]) -> int:
     return cut
 
 
-def _half_masks(t: Topology, verts: list[int], base: int) -> list[int]:
-    """Per-vertex neighbor masks restricted to `verts`, bit i = verts[i]-base."""
-    vset = set(verts)
-    masks = []
-    for v in verts:
-        m = 0
-        for w in t.adjacency[v]:
-            if w in vset:
-                m |= 1 << (w - base)
-        masks.append(m)
-    return masks
+def _half_tables(t: Topology, base: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tables over every subset S of the vertices base..base+size-1 (bit i of
+    the mask is vertex base+i): the cut inside the half, cin(S), and S's
+    degree sum minus twice its internal edges, which is S's share of a cut.
 
-
-def _subset_tables(adj_masks: list[int], degs: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """DP over all subsets of one half: internal edge count and degree sum."""
-    size = 1 << len(adj_masks)
-    ew = [0] * size
-    ds = [0] * size
-    for m in range(1, size):
-        v = (m & -m).bit_length() - 1
-        rest = m & (m - 1)
-        ew[m] = ew[rest] + (adj_masks[v] & rest).bit_count()
-        ds[m] = ds[rest] + degs[v]
-    return np.array(ew, dtype=np.int64), np.array(ds, dtype=np.int64)
+    Built by doubling: the masks with top bit i extend those below 2**i.
+    """
+    verts = range(base, base + size)
+    inner = [sum(1 << (w - base) for w in t.adjacency[v] if w in verts) for v in verts]
+    ew = np.zeros(1 << size, dtype=np.int64)  # internal edges
+    dsin = np.zeros(1 << size, dtype=np.int64)  # degree sum inside the half
+    ds = np.zeros(1 << size, dtype=np.int64)  # full degree sum
+    masks = np.arange(1 << size, dtype=np.int64)
+    for i, v in enumerate(verts):
+        lo, hi = 1 << i, 2 << i
+        ew[lo:hi] = ew[:lo] + np.bitwise_count(masks[:lo] & inner[i])
+        dsin[lo:hi] = dsin[:lo] + inner[i].bit_count()
+        ds[lo:hi] = ds[:lo] + len(t.adjacency[v])
+    return dsin - 2 * ew, ds - 2 * ew
 
 
 def bisection_method(n: int, exact_limit: int = DEFAULT_EXACT_LIMIT) -> str | None:
@@ -244,13 +243,19 @@ def bisection_method(n: int, exact_limit: int = DEFAULT_EXACT_LIMIT) -> str | No
 
 
 def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
-    """Minimum balanced cut by exhausting every bipartition containing vertex 0.
+    """Minimum balanced cut over every bipartition containing vertex 0.
 
-    Vertices split into a low and a high half; a bipartition is a (low-mask,
-    high-mask) pair, so internal-edge and degree sums come from two 2**(n/2)
-    lookup tables and the low-high coupling is a popcount matrix times the
-    high-mask incidence matrix. Every one of the C(n-1, n/2-1) bipartitions
-    is evaluated; nothing is pruned.
+    Vertices split into a low and a high index half, and a side A containing
+    vertex 0 is a pair (L, H) of a low-half and a high-half mask, grouped by
+    |L|. Its cut is a table lookup per mask plus the L-H edge count (a
+    popcount matrix times the H incidence matrix), evaluated chunk-wise.
+
+    Branch-and-bound, exact: the cuts inside each half, cin(L) and cin(H),
+    are disjoint edge sets that both cross A, so cut(A) >= cin(L) + cin(H).
+    Rows L are visited in ascending cin(L); a group stops at the first row
+    whose bound against its remaining columns reaches the best cut found so
+    far, and columns are dropped the same way. Only pairs whose bound is
+    >= the best are skipped, so the result equals full enumeration.
     """
     n = t.n
     if n % 2:
@@ -265,142 +270,126 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
         return len(t.adjacency[0])
 
     half = n // 2
-    h_lo = n // 2
-    h_hi = n - h_lo
-    low = list(range(h_lo))
-    high = list(range(h_lo, n))
-    degs = [len(t.adjacency[v]) for v in range(n)]
-
-    ew_lo, ds_lo = _subset_tables(_half_masks(t, low, 0), degs[:h_lo])
-    ew_hi, ds_hi = _subset_tables(_half_masks(t, high, h_lo), degs[h_lo:])
-
-    # low-part neighbor masks of each high vertex, for the coupling term
-    lowset = set(low)
+    cin_lo, base_lo = _half_tables(t, 0, half)
+    cin_hi, base_hi = _half_tables(t, half, half)
+    # low-half neighbor mask of each high vertex, for the L-H edge count
     adj_low_of_high = np.array(
-        [
-            sum(1 << w for w in t.adjacency[v] if w in lowset)
-            for v in high
-        ],
-        dtype=np.uint64,
+        [sum(1 << w for w in t.adjacency[v] if w < half) for v in range(half, n)],
+        dtype=np.int64,
     )
+    bit = np.arange(half, dtype=np.int64)
 
-    best: int | None = None
-    for j in range(max(0, half - 1 - h_hi), min(h_lo - 1, half - 1) + 1):
-        lo_masks = np.array(
-            [
-                1 | sum(1 << b for b in combo)
-                for combo in itertools.combinations(range(1, h_lo), j)
-            ],
-            dtype=np.uint64,
-        )
-        hi_combos = list(itertools.combinations(range(h_hi), half - 1 - j))
-        hi_masks = np.array(
-            [sum(1 << b for b in combo) for combo in hi_combos], dtype=np.int64
-        )
-        hi_bits = np.zeros((len(hi_combos), h_hi), dtype=np.float32)
-        for row, combo in enumerate(hi_combos):
-            hi_bits[row, list(combo)] = 1.0
-        base_hi = (ew_hi[hi_masks] * 2 - ds_hi[hi_masks]).astype(np.float32)
+    # cut = sum(deg in A) - 2 * internal(A) = base_lo[L] + base_hi[H]
+    # - 2 * |L-H edges|, so a block of cuts is one product of [coupling,
+    # base_lo, 1] rows and [-2 * H bits; 1; base_hi] columns. float32 holds
+    # these small integers exactly.
+    def lhs(rows: np.ndarray) -> np.ndarray:
+        out = np.empty((len(rows), half + 2), dtype=np.float32)
+        out[:, :half] = np.bitwise_count(rows[:, None] & adj_low_of_high[None, :])
+        out[:, half] = base_lo[rows]
+        out[:, half + 1] = 1
+        return out
 
-        chunk = max(1, 4_000_000 // max(1, len(hi_combos)))
-        for c0 in range(0, len(lo_masks), chunk):
-            lo_chunk = lo_masks[c0 : c0 + chunk]
-            # coupling[i, v] = |neighbors of high vertex v inside lo_chunk[i]|
-            coupling = np.bitwise_count(
-                lo_chunk[:, None] & adj_low_of_high[None, :]
-            ).astype(np.float32)
-            cross = coupling @ hi_bits.T
-            idx = lo_chunk.astype(np.int64)
-            base_lo = (ds_lo[idx] - 2 * ew_lo[idx]).astype(np.float32)
-            # cut = sum(deg in A) - 2 * internal(A); signs folded into bases
-            cuts = base_lo[:, None] - base_hi[None, :] - 2.0 * cross
-            m = int(cuts.min())
-            if best is None or m < best:
-                best = m
-    assert best is not None
+    def rhs(cols: np.ndarray) -> np.ndarray:
+        out = np.empty((half + 2, len(cols)), dtype=np.float32)
+        out[:half] = -2 * ((cols[None, :] >> bit[:, None]) & 1)
+        out[half] = 1
+        out[half + 1] = base_hi[cols]
+        return out
+
+    # Groups by |L|, rows sorted by cin. The lowest-bound pair of each group
+    # is a real bipartition, so the best of those seeds the search.
+    masks = np.arange(1 << half, dtype=np.int64)
+    pop = np.bitwise_count(masks)
+    groups = []
+    seeds = []
+    for size in range(1, half + 1):
+        rows = np.flatnonzero((pop == size) & ((masks & 1) == 1))
+        rows = rows[np.argsort(cin_lo[rows], kind="stable")]
+        cols = np.flatnonzero(pop == half - size)
+        col = cols[np.argmin(cin_hi[cols])]
+        seeds.append(int((lhs(rows[:1]) @ rhs(np.array([col])))[0, 0]))
+        groups.append((int(cin_lo[rows[0]] + cin_hi[col]), rows, cols))
+    best = min(seeds)
+
+    for bound, rows, cols in sorted(groups, key=lambda g: g[0]):
+        if bound >= best:
+            break  # and so does every later group
+        row_cin, col_cin = cin_lo[rows], cin_hi[cols]
+        right = None
+        pos = 0
+        while pos < len(rows):
+            # rows are ascending in cin, so row_cin[pos] bounds the rest
+            keep = col_cin + row_cin[pos] < best
+            if right is None or not keep.all():
+                cols, col_cin = cols[keep], col_cin[keep]
+                right = rhs(cols)
+            if len(cols) == 0:
+                break
+            limit = int(np.searchsorted(row_cin, best - col_cin.min()))
+            if limit <= pos:
+                break
+            end = min(limit, pos + max(1, _EXACT_CHUNK // max(len(cols), half)))
+            best = min(best, int((lhs(rows[pos:end]) @ right).min()))
+            pos = end
     return best
 
 
 class _WorkGraph:
-    """Weighted working form for the partition heuristic.
+    """Weighted working form for the partition heuristic: a dense symmetric
+    weight matrix, so a whole window of swap gains is one array expression.
 
     Finest level carries unit weights; coarser levels aggregate contracted
     edge multiplicities. All vertices of one level have equal cluster size,
     so balanced swaps on any level stay balanced after projection.
     """
 
-    def __init__(self, n: int, edge_weights: dict[tuple[int, int], int]):
-        self.n = n
-        items = sorted(edge_weights.items())
-        self.edges = np.array([e for e, _ in items], dtype=np.int64).reshape(-1, 2)
-        self.eweights = np.array([w for _, w in items], dtype=np.int64)
-        self.wpen = dict(edge_weights)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v), w in items:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        for v in range(n):
-            self.indptr[v + 1] = self.indptr[v] + len(adj[v])
-        self.indices = np.fromiter(
-            (w for row in adj for w, _ in row), dtype=np.int64, count=self.indptr[-1]
-        )
-        self.iweights = np.fromiter(
-            (wt for row in adj for _, wt in row), dtype=np.int64, count=self.indptr[-1]
-        )
-        self.degw = np.zeros(n, dtype=np.int64)
-        np.add.at(self.degw, self.edges[:, 0], self.eweights)
-        np.add.at(self.degw, self.edges[:, 1], self.eweights)
-
-    def pair_weight(self, u: int, v: int) -> int:
-        return self.wpen.get((u, v) if u < v else (v, u), 0)
+    def __init__(self, weights: np.ndarray):
+        self.n = len(weights)
+        self.weights = weights
+        self.degw = weights.sum(axis=1, dtype=np.int64)
 
 
 def _work_graph(t: Topology) -> _WorkGraph:
-    return _WorkGraph(t.n, {e: 1 for e in t.edges()})
+    weights = np.zeros((t.n, t.n), dtype=np.int32)
+    for u, nbrs in enumerate(t.adjacency):
+        weights[u, list(nbrs)] = 1
+    return _WorkGraph(weights)
+
+
+def _window(avail: np.ndarray, D: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """The k vertices of `avail` with the largest D, ordered by (-D, index),
+    and the largest D left outside them (a sentinel when nothing is)."""
+    if k == len(avail):
+        top, rest = avail, -(1 << 30)
+    else:
+        neg = -D[avail]
+        part = neg.argpartition(k - 1)
+        top, rest = avail[part[:k]], -int(neg[part[k:]].min())
+    return top[np.lexsort((top, -D[top]))], rest
 
 
 def _best_swap(
-    g: _WorkGraph, D: np.ndarray, side: np.ndarray, locked: np.ndarray
+    g: _WorkGraph, D: np.ndarray, avail_a: np.ndarray, avail_b: np.ndarray
 ) -> tuple[int, int, int] | None:
-    """Highest-gain unlocked cross pair; gain = D[u] + D[v] - 2*w(u, v).
+    """Highest-gain pair u in avail_a, v in avail_b; gain = D[u] + D[v] - 2*w(u, v).
 
     Candidates come from the top of each side by D; the window widens until
     the best found provably dominates everything outside it (edge weights
-    only lower the gain). Ties break on the smaller pair, deterministically.
+    only lower the gain). Ties break on the first pair in row-major order
+    over the sorted windows, deterministically.
     """
-    avail_a = np.flatnonzero((side == 0) & ~locked)
-    avail_b = np.flatnonzero((side == 1) & ~locked)
     if len(avail_a) == 0 or len(avail_b) == 0:
         return None
     t_width = 8
     while True:
-        ka = min(t_width, len(avail_a))
-        kb = min(t_width, len(avail_b))
-        top_a = avail_a[np.argpartition(-D[avail_a], ka - 1)[:ka]]
-        top_b = avail_b[np.argpartition(-D[avail_b], kb - 1)[:kb]]
-        top_a = top_a[np.lexsort((top_a, -D[top_a]))]
-        top_b = top_b[np.lexsort((top_b, -D[top_b]))]
-        best = None
-        for u in top_a:
-            u = int(u)
-            du = int(D[u])
-            for v in top_b:
-                v = int(v)
-                gain = du + int(D[v]) - 2 * g.pair_weight(u, v)
-                if best is None or gain > best[2]:
-                    best = (u, v, gain)
-        assert best is not None
-        bound_a = int(D[top_a[0]])
-        bound_b = int(D[top_b[0]])
-        rest_a = -(1 << 30) if ka == len(avail_a) else -int(
-            np.partition(-D[avail_a], ka)[ka]
-        )
-        rest_b = -(1 << 30) if kb == len(avail_b) else -int(
-            np.partition(-D[avail_b], kb)[kb]
-        )
-        if best[2] >= rest_a + bound_b and best[2] >= bound_a + rest_b:
-            return best
+        top_a, rest_a = _window(avail_a, D, min(t_width, len(avail_a)))
+        top_b, rest_b = _window(avail_b, D, min(t_width, len(avail_b)))
+        gains = D[top_a][:, None] + D[top_b] - 2 * g.weights[top_a[:, None], top_b]
+        i, j = divmod(int(gains.argmax()), len(top_b))
+        gain = int(gains[i, j])
+        if gain >= rest_a + int(D[top_b[0]]) and gain >= int(D[top_a[0]]) + rest_b:
+            return int(top_a[i]), int(top_b[j]), gain
         t_width *= 2
 
 
@@ -413,24 +402,26 @@ def _kl_refine(g: _WorkGraph, side: np.ndarray, window: int) -> int:
     balance is preserved at every step.
     """
     n = g.n
-    edges, ew = g.edges, g.eweights
     while True:
-        cross = side[edges[:, 0]] != side[edges[:, 1]]
-        cut = int(ew[cross].sum())
-        wcross = np.where(cross, ew, 0)
-        ext = np.zeros(n, dtype=np.int64)
-        np.add.at(ext, edges[:, 0], wcross)
-        np.add.at(ext, edges[:, 1], wcross)
+        # ext[v]: weight from v to the other side
+        to_b = g.weights @ side
+        ext = np.where(side == 1, g.degw - to_b, to_b)
+        cut = int(ext[side == 0].sum())
         D = 2 * ext - g.degw
 
-        locked = np.zeros(n, dtype=bool)
+        # When x changes side, each neighbor y moves by -2 w(x, y) sign[x]
+        # sign[y], where sign is +1 on side 0 and -1 on side 1.
+        sign = 1 - 2 * side.astype(np.int64)
+        # unlocked vertices of each side: those not yet swapped in this pass
+        avail_a = np.flatnonzero(side == 0)
+        avail_b = np.flatnonzero(side == 1)
         swaps: list[tuple[int, int]] = []
         running = 0
         best_prefix = 0
         best_at = -1
         stall = 0
         for step in range(n // 2):
-            pick = _best_swap(g, D, side, locked)
+            pick = _best_swap(g, D, avail_a, avail_b)
             if pick is None:
                 break
             u, v, gain = pick
@@ -438,12 +429,11 @@ def _kl_refine(g: _WorkGraph, side: np.ndarray, window: int) -> int:
             running += gain
             for x in (u, v):
                 side[x] ^= 1
-                lo, hi = g.indptr[x], g.indptr[x + 1]
-                nb = g.indices[lo:hi]
-                wx = g.iweights[lo:hi]
-                D[nb] += np.where(side[nb] == side[x], -2 * wx, 2 * wx)
+                sign[x] = -sign[x]
+                D -= 2 * sign[x] * (g.weights[x] * sign)
                 D[x] = -D[x]
-            locked[u] = locked[v] = True
+            avail_a = avail_a[avail_a != u]
+            avail_b = avail_b[avail_b != v]
             if running > best_prefix:
                 best_prefix = running
                 best_at = step
@@ -473,20 +463,16 @@ def _contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, list[tuple
     n = g.n
     order = list(range(n))
     rng.shuffle(order)
-    mate = [-1] * n
+    mate = np.full(n, -1)
     for u in order:
         if mate[u] != -1:
             continue
-        best_v = -1
-        best_w = 0
-        for pos in range(g.indptr[u], g.indptr[u + 1]):
-            v = int(g.indices[pos])
-            if mate[v] == -1 and v != u and int(g.iweights[pos]) > best_w:
-                best_w = int(g.iweights[pos])
-                best_v = v
-        if best_v != -1:
-            mate[u] = best_v
-            mate[best_v] = u
+        # heaviest unmatched neighbor, the smallest index among equals
+        row = np.where(mate == -1, g.weights[u], 0)
+        v = int(row.argmax())
+        if row[v] > 0:
+            mate[u] = v
+            mate[v] = u
     singles = [u for u in order if mate[u] == -1]
     for a, b in zip(singles[::2], singles[1::2]):
         mate[a] = b
@@ -496,15 +482,12 @@ def _contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, list[tuple
     for u in order:
         if cid[u] == -1:
             cid[u] = cid[mate[u]] = len(pairs)
-            pairs.append((u, mate[u]))
-    coarse: dict[tuple[int, int], int] = {}
-    for (u, v), w in zip(g.edges.tolist(), g.eweights.tolist()):
-        cu, cv = cid[u], cid[v]
-        if cu == cv:
-            continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        coarse[key] = coarse.get(key, 0) + w
-    return _WorkGraph(len(pairs), coarse), pairs
+            pairs.append((u, int(mate[u])))
+    a, b = (np.array(x) for x in zip(*pairs))
+    rows = g.weights[a] + g.weights[b]
+    coarse = rows[:, a] + rows[:, b]
+    np.fill_diagonal(coarse, 0)  # edges inside a pair vanish
+    return _WorkGraph(coarse), pairs
 
 
 # Heuristic shape: coarsen down to this many vertices before the first
@@ -541,17 +524,13 @@ def _factor_lift_seeds(t: Topology, restarts: int, seed: int) -> list[np.ndarray
     which random starts rarely reassemble on large products)."""
     if t.factors is None or len(t.factors) < 2:
         return []
-    sizes = [f.n for f in t.factors]
-    weights = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        weights[i] = weights[i + 1] * sizes[i + 1]
-    coords = np.arange(t.n)
+    digits = np.array(mixed_radix([f.n for f in t.factors])[1])
     seeds = []
     for p, f in enumerate(t.factors):
         if f.n % 2:
             continue
         _, fside = _best_balanced_side(f, restarts, seed + 7919 * (p + 1))
-        seeds.append(fside[(coords // weights[p]) % sizes[p]].astype(np.int8))
+        seeds.append(fside[digits[:, p]].astype(np.int8))
     return seeds
 
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .metrics import DisconnectedError, bfs_distances
-from .topology import Topology
+from .topology import Topology, mixed_radix
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,11 @@ def dimension_order_routes(t: Topology) -> RoutingTable:
     for f in factors:
         if f.jumps is None:
             raise ValueError("every product factor needs circulant structure to route")
-    sizes = [f.n for f in factors]
-    weights = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        weights[i] = weights[i + 1] * sizes[i + 1]
+    weights, coords = mixed_radix([f.n for f in factors])
     tables = [circulant_routes(f).rows for f in factors]
 
     n = t.n
-    coords = []
-    for v in range(n):
-        c = []
-        for w, m in zip(weights, sizes):
-            c.append((v // w) % m)
-        coords.append(tuple(c))
-
-    m = len(sizes)
+    m = len(factors)
     rows = []
     for s in range(n):
         cs = coords[s]

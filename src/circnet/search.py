@@ -101,11 +101,18 @@ class SearchConfig:
     checkpoint_path: str | Path | None = None
     checkpoint_every: int = 500_000
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Reject settings no search can run with, before any scanning."""
+        for name in ("restarts", "checkpoint_every", "workers"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
     def resolved_workers(self) -> int:
-        w = self.workers if self.workers is not None else (os.cpu_count() or 1)
-        if w < 1:
-            raise ValueError("workers must be >= 1")
-        return w
+        return self.workers if self.workers is not None else (os.cpu_count() or 1)
 
 
 def count_space(n: int, k: int, reduced: bool = True) -> int:
@@ -387,7 +394,7 @@ def _run_states(
     n: int, k: int, plan: JumpSpacePlan, states: list[_RangeState], config: SearchConfig
 ) -> None:
     """Drive every range to completion, chunk by chunk, optionally parallel."""
-    chunk = max(1, config.checkpoint_every)
+    chunk = config.checkpoint_every
     total = plan.size
 
     def checkpoint() -> None:
@@ -441,6 +448,7 @@ def run_search(
     count and for any checkpoint/resume boundary.
     """
     config = config or SearchConfig()
+    config.validate()
     plan = jump_space(n, k, config.reduced)
     total = plan.size
 

@@ -11,9 +11,10 @@ factor most significant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .combinatorics import binomial
 
@@ -269,6 +270,20 @@ def cartesian_product(a: Topology, b: Topology) -> Topology:
         factors=factors,
         vertex_symmetric=a.vertex_symmetric and b.vertex_symmetric,
     )
+
+
+def mixed_radix(sizes: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Place values and per-vertex digits of the row-major product indexing.
+
+    Vertex v of a product with factor orders `sizes` has digit
+    (v // weights[p]) % sizes[p] in factor p, leftmost factor most
+    significant; coords[v] lists those digits.
+    """
+    weights = [1] * len(sizes)
+    for i in range(len(sizes) - 2, -1, -1):
+        weights[i] = weights[i + 1] * sizes[i + 1]
+    coords = list(itertools.product(*(range(m) for m in sizes)))
+    return weights, coords
 
 
 def torus(dims: Iterable[int]) -> Topology:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from circnet import search
 from circnet.cli import (
     EXIT_CHECKPOINT,
     EXIT_INFEASIBLE,
@@ -210,6 +211,22 @@ class TestSearchCommand:
         assert rc == EXIT_OK
         results = json.loads(capsys.readouterr().out)["results"]
         assert results and all(rec["bisection_exact"] is False for rec in results)
+
+
+class TestSearchConfigValidation:
+    @pytest.mark.parametrize(
+        "flag", ["--restarts", "--checkpoint-every", "--workers"]
+    )
+    def test_bad_value_exits_before_the_scan(self, flag, monkeypatch, capsys):
+        def scan(*args):
+            raise AssertionError("a candidate was scanned")
+
+        monkeypatch.setattr(search, "_scan_chunk", scan)
+        args = ["search", "--n", "64", "--k", "4", "--workers", "1", flag, "0"]
+        assert main(args) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag[2:].replace("-", "_") in captured.err
 
 
 class TestUsage:

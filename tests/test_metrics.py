@@ -8,6 +8,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -27,6 +28,8 @@ from circnet.metrics import (
     cut_size,
     diameter_mpl,
     parse_partition,
+    _WorkGraph,
+    _best_swap,
 )
 from circnet.topology import (
     JumpSet,
@@ -239,6 +242,122 @@ class TestBisectionExact:
         assume(n % 2 == 0)
         t = random_graph(random.Random(seed), n, p)
         assert bisection_exact(t, limit=16) == brute_bisection(t)
+
+
+def halves_biclique(n):
+    """K_{n/2,n/2} whose parts are the low and the high index halves."""
+    h = n // 2
+    return from_edges(n, [(u, v) for u in range(h) for v in range(h, n)])
+
+
+def disjoint_cliques(n):
+    """Two cliques, on the multiples of 3 and on the other labels."""
+    a = [v for v in range(n) if v % 3 == 0]
+    b = [v for v in range(n) if v % 3]
+    return from_edges(n, list(itertools.combinations(a, 2)) + list(itertools.combinations(b, 2)))
+
+
+class TestBisectionExactExtremes:
+    """Graphs where the per-half cut bound never prunes or prunes at once."""
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 14, 16])
+    def test_empty_graph(self, n):
+        t = from_edges(n, [])
+        assert bisection_exact(t, limit=16) == 0 == brute_bisection(t)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 10, 16])
+    def test_biclique_across_the_halves(self, n):
+        # no edge lies inside a half, so every per-half cut is 0
+        t = halves_biclique(n)
+        assert bisection_exact(t, limit=16) == brute_bisection(t)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 12, 16])
+    def test_complete_graph(self, n):
+        assert bisection_exact(complete(n), limit=16) == (n // 2) ** 2
+        assert bisection_exact(complete(n), limit=16) == brute_bisection(complete(n))
+
+    @pytest.mark.parametrize("n", [4, 8, 10, 16])
+    def test_disconnected(self, n):
+        t = disjoint_cliques(n)
+        assert bisection_exact(t, limit=16) == brute_bisection(t)
+        two_rings = from_edges(n, [(v, (v + 2) % n) for v in range(n)])
+        assert bisection_exact(two_rings, limit=16) == brute_bisection(two_rings)
+
+
+st_sparse_graph = st.tuples(
+    st.sampled_from([4, 6, 8, 10, 12, 14, 16]), st.floats(0.02, 0.25), st.integers(0, 10_000)
+)
+
+
+class TestBisectionExactSparse:
+    @given(st_sparse_graph)
+    @settings(max_examples=60)
+    def test_matches_brute_enumeration(self, params):
+        # Sparse graphs often have a minimum cut made only of edges inside
+        # the two halves, where the per-half bound is tight.
+        n, p, seed = params
+        t = random_graph(random.Random(seed), n, p)
+        assert bisection_exact(t, limit=16) == brute_bisection(t)
+
+    def test_tight_bound_case(self):
+        # Both edges join the halves, so the zero cut A = {0, 1, 3, 4, 9}
+        # meets the per-half bound exactly.
+        t = from_edges(10, [(1, 9), (2, 8)])
+        assert bisection_exact(t, limit=16) == 0 == brute_bisection(t)
+
+
+st_work_graph = st.integers(2, 40).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, 10_000),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    )
+)
+
+
+class TestBestSwap:
+    @given(st_work_graph)
+    @settings(max_examples=150)
+    def test_returns_a_maximum_gain_unlocked_cross_pair(self, params):
+        # D drawn from 7 values so ties are everywhere; status 0 and 1 are
+        # the unlocked vertices of side A and side B, 2 is locked.
+        n, wseed, d, status = params
+        rnd = random.Random(wseed)
+        w = [rnd.choice((0, 0, 1, 2, 3)) for _ in range(n * n)]
+        weights = np.triu(np.array(w, dtype=np.int32).reshape(n, n), 1)
+        g = _WorkGraph(weights + weights.T)
+        D = np.array(d, dtype=np.int64)
+        avail_a = np.flatnonzero(np.array(status) == 0)
+        avail_b = np.flatnonzero(np.array(status) == 1)
+        pick = _best_swap(g, D, avail_a, avail_b)
+        if len(avail_a) == 0 or len(avail_b) == 0:
+            assert pick is None
+            return
+        u, v, gain = pick
+        assert status[u] == 0 and status[v] == 1
+        assert gain == D[u] + D[v] - 2 * g.weights[u, v]
+        assert gain == max(
+            D[a] + D[b] - 2 * g.weights[a, b] for a in avail_a for b in avail_b
+        )
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_best_pair_beyond_a_heavy_top_window(self, flip):
+        # Side X: 8 vertices with D = 1, each tied to the top vertex of side Y
+        # by weight 3, and 12 free vertices with D = 0. Side Y: one vertex
+        # with D = 5 and 11 with D = -5. Every pair among the top eight of X
+        # gains at most 0, while a free X vertex with the top of Y gains 5.
+        x = np.arange(20)
+        y = np.arange(20, 32)
+        D = np.array([1] * 8 + [0] * 12 + [5] + [-5] * 11, dtype=np.int64)
+        weights = np.zeros((32, 32), dtype=np.int32)
+        weights[:8, 20] = weights[20, :8] = 3
+        g = _WorkGraph(weights)
+        if flip:
+            v, u, gain = _best_swap(g, D, y, x)
+        else:
+            u, v, gain = _best_swap(g, D, x, y)
+        assert gain == 5 and v == 20 and 8 <= u < 20
 
 
 class TestBisectionHeuristic:

@@ -9,6 +9,7 @@ from collections import deque
 
 import pytest
 
+from circnet import search
 from circnet.combinatorics import binomial
 from circnet.metrics import bisection_exact
 from circnet.search import (
@@ -299,3 +300,33 @@ class TestCheckpointVerification:
         )
         resumed = run_search(32, 4, SearchConfig(workers=1, checkpoint_path=ck))[0]
         assert resumed == run_search(32, 4, SearchConfig(workers=1))[0]
+
+
+class TestConfigValidation:
+    """Settings no search can run with are refused before any candidate is
+    scanned: the scan kernel is replaced by one that fails if it is called."""
+
+    @pytest.fixture(autouse=True)
+    def no_scan(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("a candidate was scanned")
+
+        monkeypatch.setattr(search, "_scan_chunk", scan)
+
+    @pytest.mark.parametrize("name", ["restarts", "checkpoint_every", "workers"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejected_when_built(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            run_search(64, 4, SearchConfig(**{"workers": 1, name: value}))
+
+    @pytest.mark.parametrize("name", ["restarts", "checkpoint_every", "workers"])
+    def test_rejected_by_run_search_after_mutation(self, name):
+        config = SearchConfig(workers=1)
+        setattr(config, name, 0)
+        with pytest.raises(ValueError, match=name):
+            run_search(64, 4, config)
+
+    def test_odd_n_still_validates_restarts(self):
+        # odd n never reaches the heuristic, but the setting is still invalid
+        with pytest.raises(ValueError, match="restarts"):
+            run_search(63, 4, SearchConfig(workers=1, restarts=0))

@@ -19,6 +19,7 @@ from circnet.topology import (
     hypercube,
     is_connected_circulant,
     jump_space,
+    mixed_radix,
     ring,
     torus,
 )
@@ -227,6 +228,25 @@ class TestCartesianProduct:
     def test_degree_additivity(self, m, c):
         t = cartesian_product(ring(m), complete(c))
         assert t.degree == 2 + (c - 1)
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    def test_mixed_radix_digits_rebuild_the_index(self, sizes):
+        weights, coords = mixed_radix(sizes)
+        assert weights[-1] == 1 and len(coords) == math.prod(sizes)
+        for v, digits in enumerate(coords):
+            assert all(0 <= d < m for d, m in zip(digits, sizes))
+            assert sum(d * w for d, w in zip(digits, weights)) == v
+
+    def test_mixed_radix_matches_product_edges(self):
+        # a product edge changes exactly one digit, by a factor edge
+        a, b = ring(4), complete(3)
+        t = cartesian_product(a, b)
+        _, coords = mixed_radix([a.n, b.n])
+        for u, v in t.edges():
+            diff = [p for p in range(2) if coords[u][p] != coords[v][p]]
+            assert len(diff) == 1
+            p = diff[0]
+            assert coords[v][p] in (a, b)[p].adjacency[coords[u][p]]
 
 
 class TestExports:
