@@ -393,15 +393,16 @@ def _best_swap(
         t_width *= 2
 
 
-def _kl_refine(g: _WorkGraph, side: np.ndarray, window: int) -> int:
+def _kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
     """Kernighan-Lin passes until no pass improves; side is refined in place.
 
     Each pass tentatively swaps vertex pairs (allowing negative interim
     gains), then keeps the prefix with the best cumulative gain. A pass is
-    abandoned once the prefix maximum has stalled for `window` steps;
+    abandoned once the prefix maximum has stalled for max(48, n/16) steps;
     balance is preserved at every step.
     """
     n = g.n
+    window = max(48, n // 16)
     while True:
         # ext[v]: weight from v to the other side
         to_b = g.weights @ side
@@ -507,14 +508,14 @@ def _multilevel_cut(g: _WorkGraph, rng: random.Random) -> tuple[int, np.ndarray]
     top = levels[-1]
     side = np.ones(top.n, dtype=np.int8)
     side[rng.sample(range(top.n), top.n // 2)] = 0
-    cut = _kl_refine(top, side, max(48, top.n // 16))
+    cut = _kl_refine(top, side)
     for level in range(len(levels) - 2, -1, -1):
         fine = levels[level]
         fine_side = np.empty(fine.n, dtype=np.int8)
         for c, (a, b) in enumerate(maps[level]):
             fine_side[a] = fine_side[b] = side[c]
         side = fine_side
-        cut = _kl_refine(fine, side, max(48, fine.n // 16))
+        cut = _kl_refine(fine, side)
     return cut, side
 
 
@@ -542,7 +543,6 @@ def _best_balanced_side(
     if n == 2:
         return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
     g = _work_graph(t)
-    window = max(48, n // 16)
     kicks = (8, max(8, n // 32), max(12, n // 16))
     seeds = _factor_lift_seeds(t, restarts, seed)
     best: tuple[int, np.ndarray] | None = None
@@ -550,13 +550,13 @@ def _best_balanced_side(
         rng = random.Random(seed + i)
         if i < len(seeds):
             side = seeds[i].copy()
-            cut = _kl_refine(g, side, window)
+            cut = _kl_refine(g, side)
         elif i % 2 == 0:
             cut, side = _multilevel_cut(g, rng)
         else:
             side = np.ones(n, dtype=np.int8)
             side[rng.sample(range(n), n // 2)] = 0
-            cut = _kl_refine(g, side, window)
+            cut = _kl_refine(g, side)
         run_best, run_side = cut, side.copy()
         for r in range(_ILS_ROUNDS):
             side = run_side.copy()
@@ -565,7 +565,7 @@ def _best_balanced_side(
             m = min(kicks[r % 3], len(a))
             side[a[rng.sample(range(len(a)), m)]] = 1
             side[b[rng.sample(range(len(b)), m)]] = 0
-            cut = _kl_refine(g, side, window)
+            cut = _kl_refine(g, side)
             if cut < run_best:
                 run_best, run_side = cut, side.copy()
         if best is None or run_best < best[0]:
@@ -641,8 +641,11 @@ def compute_metrics(
 
     Bisection is recomputed from a supplied partition, or else obtained as
     `bisection_method` decides: exact, heuristic, or None for odd vertex
-    counts, which cannot be strictly bisected.
+    counts, which cannot be strictly bisected. `restarts` below 1 is refused
+    before any work, whichever way the width would be obtained.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     diameter, dist_sum, _ = diameter_mpl(t)
     bisection: int | None
     method = bisection_method(t.n, exact_limit)

@@ -1,13 +1,20 @@
 """Rank-partitioned exhaustive search for optimal circulant graphs.
 
-The free-jump combinations of a (n, k) space are totally ordered co-lex;
-each worker unranks its start rank and walks successors to its end rank,
-keeping the running (diameter, distance-sum) minimum and every jump set that
-attains it. Merging partial results is associative and commutative, so the
+The free-jump combinations of a (n, k) space are totally ordered co-lex and
+split into one rank range per worker. A range's running best is one
+`_RangeState` (cursor, minimum (diameter, distance sum), every jump set that
+attains it); `_scan_chunk` advances it by unranking the cursor and walking
+successors. Merging partial results is associative and commutative, so the
 outcome is identical for any worker count, chunking, or checkpoint/resume
-boundary. Survivors are then ranked by bisection width (as
-`metrics.bisection_method` decides: exact up to the configured limit,
-Kernighan-Lin above) and only the maximum-width ones are returned.
+boundary.
+
+Survivors are grouped into unit-multiplication classes, and each class is
+measured once by `metrics.compute_metrics` on its canonical representative:
+an independent BFS re-measures the diameter and distance sum (a class that
+disagrees with the scan raises before anything is returned), and the
+bisection width comes from `metrics.bisection_method`'s policy (exact up to
+the configured limit, Kernighan-Lin above, none for odd n). Only the
+maximum-width ties are returned.
 
 Hot path: every candidate goes through the one circulant BFS kernel,
 `metrics.circulant_distance_profile`, bounded by the running best. The
@@ -18,10 +25,11 @@ the outcome stays independent of chunking and order. On one core of a
 2-vCPU Xeon host (Python 3.11) this scans about 80-97k graphs/s at (255, 6)
 and (257, 6) and 124-141k at (127, 8), twice the rate of the unbounded scan.
 
-Checkpoints are JSON lines, one per worker range, carrying the cursor rank
-and the running best; a resumed run continues each range from its cursor. A
-loaded checkpoint is not trusted: every carried candidate must lie in the
-search space and re-measure to its range's best.
+Checkpoints are JSON lines, one `_RangeState` per range; a resumed run
+continues each range from its cursor. A loaded checkpoint is not trusted:
+every field must have its JSON type (integral ranks, a boolean `reduced`),
+and every carried candidate must lie in the search space and re-measure to
+its range's best.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -40,11 +47,11 @@ from .metrics import (
     DEFAULT_EXACT_LIMIT,
     DEFAULT_RESTARTS,
     MetricsRecord,
-    bisection_exact,
-    bisection_heuristic,
-    bisection_method,
     circulant_distance_profile,
+    compute_metrics,
 )
+# perfbench/tracing.py patches these by attribute on this module
+from .metrics import bisection_exact, bisection_heuristic  # noqa: F401
 from .topology import JumpSet, JumpSpacePlan, adam_canonical, circulant, jump_space
 
 
@@ -139,19 +146,32 @@ def partition_ranks(total: int, workers: int) -> list[RankRange]:
     return ranges
 
 
-def _scan_chunk(
-    n: int,
-    fixed: tuple[int, ...],
-    lo: int,
-    hi: int,
-    r: int,
-    start: int,
-    end: int,
-    best_d: int | None,
-    best_s: int | None,
-    cands: tuple[tuple[int, ...], ...],
-) -> tuple[int | None, int | None, list[tuple[int, ...]], int, float]:
-    """Scan co-lex ranks [start, end), folding into a running best.
+@dataclass
+class _RangeState:
+    """Running best of one rank range, scanned up to `cursor`: the one form of
+    scan state, advanced chunk by chunk and written to checkpoints as is."""
+
+    rank_range: RankRange
+    cursor: int
+    best_d: int | None = None
+    best_s: int | None = None
+    candidates: list[tuple[int, ...]] = field(default_factory=list)
+    elapsed: float = 0.0
+
+    def as_result(self, n: int, k: int) -> SearchResult:
+        return SearchResult(
+            n=n,
+            k=k,
+            best_diameter=self.best_d,
+            best_dist_sum=self.best_s,
+            candidates=tuple(JumpSet(n, c) for c in sorted(set(self.candidates))),
+            scanned=self.cursor - self.rank_range.start,
+            elapsed=self.elapsed,
+        )
+
+
+def _scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _RangeState:
+    """Advance a range's running best over co-lex ranks [st.cursor, end).
 
     Hot path: each connected candidate goes through
     `circulant_distance_profile` with the running best as its bound, so it
@@ -159,12 +179,14 @@ def _scan_chunk(
     materialized as a sorted tuple then.
     """
     t0 = time.perf_counter()
-    out = list(cands)
+    start = st.cursor
     if end <= start:
-        return best_d, best_s, out, 0, 0.0
-    elems = unrank_elements(start, lo, hi, r)
+        return st
+    fixed, lo, hi = plan.fixed, plan.lo, plan.hi
+    elems = unrank_elements(start, lo, hi, plan.r)
     need_gcd = 1 not in fixed
-    bound = None if best_d is None else (best_d, best_s)
+    bound = None if st.best_d is None else (st.best_d, st.best_s)
+    out = list(st.candidates)
     idx = start
     while True:
         jumps = fixed + tuple(elems)
@@ -182,7 +204,9 @@ def _scan_chunk(
         if not successor_inplace(elems, lo, hi):
             raise AssertionError("combination space exhausted before end rank")
     best_d, best_s = (None, None) if bound is None else bound
-    return best_d, best_s, out, end - start, time.perf_counter() - t0
+    return _RangeState(
+        st.rank_range, end, best_d, best_s, out, st.elapsed + time.perf_counter() - t0
+    )
 
 
 def scan_range(
@@ -192,19 +216,8 @@ def scan_range(
     plan = jump_space(n, k, reduced)
     if rank_range.end > plan.size:
         raise ValueError(f"range {rank_range} exceeds space of size {plan.size}")
-    best_d, best_s, cands, scanned, elapsed = _scan_chunk(
-        n, plan.fixed, plan.lo, plan.hi, plan.r,
-        rank_range.start, rank_range.end, None, None, (),
-    )
-    return SearchResult(
-        n=n,
-        k=k,
-        best_diameter=best_d,
-        best_dist_sum=best_s,
-        candidates=tuple(JumpSet(n, c) for c in sorted(set(cands))),
-        scanned=scanned,
-        elapsed=elapsed,
-    )
+    st = _RangeState(rank_range, rank_range.start)
+    return _scan_chunk(n, plan, st, rank_range.end).as_result(n, k)
 
 
 def merge(results: list[SearchResult]) -> SearchResult:
@@ -245,27 +258,6 @@ def merge(results: list[SearchResult]) -> SearchResult:
         scanned=scanned,
         elapsed=elapsed,
     )
-
-
-@dataclass
-class _RangeState:
-    rank_range: RankRange
-    cursor: int
-    best_d: int | None = None
-    best_s: int | None = None
-    candidates: list[tuple[int, ...]] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    def as_result(self, n: int, k: int) -> SearchResult:
-        return SearchResult(
-            n=n,
-            k=k,
-            best_diameter=self.best_d,
-            best_dist_sum=self.best_s,
-            candidates=tuple(JumpSet(n, c) for c in sorted(set(self.candidates))),
-            scanned=self.cursor - self.rank_range.start,
-            elapsed=self.elapsed,
-        )
 
 
 def save_checkpoint(
@@ -329,8 +321,10 @@ def load_checkpoint(
     """Parse and validate a checkpoint for the given search; raises
     CheckpointError on any corruption or mismatch.
 
-    A parseable checkpoint is not trusted: every carried candidate is
-    re-measured with the scan kernel (see `_verify_state`).
+    A parseable checkpoint is not trusted: n, k, total, the range bounds and
+    the cursor must be JSON integers and `reduced` a boolean, and every
+    carried candidate is re-measured with the scan kernel (see
+    `_verify_state`).
     """
     try:
         text = Path(path).read_text()
@@ -342,6 +336,15 @@ def load_checkpoint(
             if not line.strip():
                 continue
             rec = json.loads(line)
+            ranks = (
+                rec["n"], rec["k"], rec["total"],
+                rec["range"]["start"], rec["range"]["end"], rec["cursor_rank"],
+            )
+            if not all(type(x) is int for x in ranks) or type(rec["reduced"]) is not bool:
+                raise CheckpointError(
+                    "checkpoint ranks must be integers and 'reduced' a boolean: "
+                    f"{line.strip()[:200]}"
+                )
             if (rec["n"], rec["k"], rec["reduced"], rec["total"]) != (n, k, reduced, total):
                 raise CheckpointError(
                     f"checkpoint is for (n={rec['n']}, k={rec['k']}, "
@@ -382,33 +385,20 @@ def load_checkpoint(
     return states
 
 
-def _integrate(st: _RangeState, chunk_end: int, payload) -> None:
-    best_d, best_s, cands, _scanned, elapsed = payload
-    st.best_d, st.best_s = best_d, best_s
-    st.candidates = list(dict.fromkeys(cands))
-    st.cursor = chunk_end
-    st.elapsed += elapsed
-
-
 def _run_states(
     n: int, k: int, plan: JumpSpacePlan, states: list[_RangeState], config: SearchConfig
 ) -> None:
-    """Drive every range to completion, chunk by chunk, optionally parallel."""
-    chunk = config.checkpoint_every
-    total = plan.size
+    """Drive every range to completion, chunk by chunk, optionally parallel;
+    each finished chunk's state replaces its range's entry in `states`."""
 
     def checkpoint() -> None:
         if config.checkpoint_path is not None:
             save_checkpoint(
-                config.checkpoint_path, n, k, config.reduced, total, states
+                config.checkpoint_path, n, k, config.reduced, plan.size, states
             )
 
-    def chunk_args(st: _RangeState) -> tuple:
-        end = min(st.cursor + chunk, st.rank_range.end)
-        return (
-            n, plan.fixed, plan.lo, plan.hi, plan.r,
-            st.cursor, end, st.best_d, st.best_s, tuple(st.candidates),
-        ), end
+    def chunk_end(st: _RangeState) -> int:
+        return min(st.cursor + config.checkpoint_every, st.rank_range.end)
 
     workers = config.resolved_workers()
     pending = [i for i, st in enumerate(states) if st.cursor < st.rank_range.end]
@@ -416,26 +406,24 @@ def _run_states(
         for i in pending:
             st = states[i]
             while st.cursor < st.rank_range.end:
-                args, end = chunk_args(st)
-                _integrate(st, end, _scan_chunk(*args))
+                st = states[i] = _scan_chunk(n, plan, st, chunk_end(st))
                 checkpoint()
         return
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        running = {}
-        for i in pending:
-            args, end = chunk_args(states[i])
-            running[pool.submit(_scan_chunk, *args)] = (i, end)
+
+        def submit(st: _RangeState):
+            return pool.submit(_scan_chunk, n, plan, st, chunk_end(st))
+
+        running = {submit(states[i]): i for i in pending}
         while running:
             done, _ = wait(running, return_when=FIRST_COMPLETED)
             for fut in done:
-                i, end = running.pop(fut)
-                st = states[i]
-                _integrate(st, end, fut.result())
+                i = running.pop(fut)
+                st = states[i] = fut.result()
                 checkpoint()
                 if st.cursor < st.rank_range.end:
-                    args, nxt = chunk_args(st)
-                    running[pool.submit(_scan_chunk, *args)] = (i, nxt)
+                    running[submit(st)] = i
 
 
 def run_search(
@@ -464,46 +452,29 @@ def run_search(
     if merged.scanned != total:
         raise AssertionError(f"scanned {merged.scanned} of {total} combinations")
 
-    records: list[OptimalRecord] = []
-    if merged.best_diameter is not None:
-        method = bisection_method(n, config.exact_bisection_limit)
-        # Bisection is an isomorphism invariant, so it is measured once per
-        # unit-multiplication class on the canonical representative; ties
-        # that are the same graph under relabeling then always share one
-        # value and survive (or fall) together.
-        estimates: dict[tuple[int, ...], int | None] = {}
-        scored: list[tuple[int | None, JumpSet]] = []
-        for js in merged.candidates:
-            rep = adam_canonical(js)
-            if rep.jumps not in estimates:
-                if method is None:
-                    bw = None
-                elif method == "exact":
-                    bw = bisection_exact(circulant(rep), config.exact_bisection_limit)
-                else:
-                    bw = bisection_heuristic(circulant(rep), config.restarts, config.seed)
-                estimates[rep.jumps] = bw
-            scored.append((estimates[rep.jumps], js))
-        best_bw = max((bw for bw, _ in scored if bw is not None), default=None)
-        for bw, js in scored:
-            if bw != best_bw:
-                continue
-            records.append(
-                OptimalRecord(
-                    n=n,
-                    k=k,
-                    jumps=js,
-                    metrics=MetricsRecord(
-                        n=n,
-                        degree=js.degree,
-                        diameter=merged.best_diameter,
-                        dist_sum=Fraction(merged.best_dist_sum),
-                        bisection=bw,
-                        bisection_exact=method == "exact",
-                    ),
-                )
+    # Every member of a unit-multiplication class is the same graph, so its
+    # metrics are measured once, by `compute_metrics` on the canonical
+    # representative. That BFS is independent of the scan kernel, and a class
+    # that does not re-measure to the merged best is never emitted.
+    best = (merged.best_diameter, merged.best_dist_sum)
+    class_metrics: dict[tuple[int, ...], MetricsRecord] = {}
+    scored: list[tuple[MetricsRecord, JumpSet]] = []
+    for js in merged.candidates:
+        rep = adam_canonical(js)
+        if rep.jumps not in class_metrics:
+            m = compute_metrics(
+                circulant(rep), config.exact_bisection_limit, config.restarts, config.seed
             )
-        records.sort(key=lambda rec: rec.jumps.jumps)
+            if (m.diameter, m.dist_sum) != best:
+                raise AssertionError(
+                    f"class {list(rep.jumps)} re-measures to ({m.diameter}, {m.dist_sum}),"
+                    f" not the scanned best {best}"
+                )
+            class_metrics[rep.jumps] = m
+        scored.append((class_metrics[rep.jumps], js))
+    best_bw = max((m.bisection for m, _ in scored if m.bisection is not None), default=None)
+    # merged.candidates is sorted by jump set, and so are the records
+    records = [OptimalRecord(n, k, js, m) for m, js in scored if m.bisection == best_bw]
     return records, merged
 
 

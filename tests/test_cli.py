@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from circnet import search
+from circnet import metrics, search
 from circnet.cli import (
     EXIT_CHECKPOINT,
     EXIT_INFEASIBLE,
@@ -73,6 +73,44 @@ class TestMetricsCommand:
         part = tmp_path / "part.txt"
         part.write_text("0 1 2\n3 4 5 6 7\n")
         assert main(["metrics", "ring:8", "--partition", str(part)]) == EXIT_INFEASIBLE
+
+
+class TestRestartsValidation:
+    """`--restarts` below 1 is refused before any BFS, whatever the graph's
+    size or parity and however its width would be obtained: the BFS is
+    replaced by one that fails if it is called."""
+
+    @pytest.fixture(autouse=True)
+    def no_bfs(self, monkeypatch):
+        def bfs(*args):
+            raise AssertionError("a BFS was run")
+
+        monkeypatch.setattr(metrics, "diameter_mpl", bfs)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["metrics", "circulant:32:1,7", "--restarts", "0"],  # exact width
+            ["metrics", "circulant:64:1,14", "--restarts", "0"],  # heuristic width
+            ["metrics", "circulant:33:1,7", "--restarts", "0"],  # odd n, no width
+            [
+                "compare", "circulant:32:1,7", "hypercube:5",
+                "--baseline", "torus:8,4", "--restarts", "-1",
+            ],
+        ],
+    )
+    def test_rejected_before_any_bfs(self, args, capsys):
+        assert main(args) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "restarts" in captured.err
+
+    def test_rejected_with_a_partition(self, tmp_path, capsys):
+        part = tmp_path / "part.txt"
+        part.write_text("0 1 2 3\n4 5 6 7\n")
+        args = ["metrics", "ring:8", "--partition", str(part), "--restarts", "0"]
+        assert main(args) == EXIT_INFEASIBLE
+        assert "restarts" in capsys.readouterr().err
 
 
 class TestTrafficCommand:

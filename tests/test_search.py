@@ -5,9 +5,14 @@ independent queue BFS, and sorts by (diameter, distance sum, -bisection).
 """
 
 import itertools
+import json
+import tempfile
 from collections import deque
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from circnet import search
 from circnet.combinatorics import binomial
@@ -17,6 +22,7 @@ from circnet.search import (
     RankRange,
     SearchConfig,
     count_space,
+    load_checkpoint,
     merge,
     partition_ranks,
     run_search,
@@ -330,3 +336,69 @@ class TestConfigValidation:
         # odd n never reaches the heuristic, but the setting is still invalid
         with pytest.raises(ValueError, match="restarts"):
             run_search(63, 4, SearchConfig(workers=1, restarts=0))
+
+
+class TestRecordsAreReMeasured:
+    def test_unverified_record_is_never_emitted(self, monkeypatch):
+        # A scan kernel that reports every distance sum one too low: the
+        # merged best is then one no class re-measures to, and run_search
+        # must refuse it rather than return it.
+        kernel = search.circulant_distance_profile
+
+        def low_by_one(n, jumps, bound=None):
+            if bound is not None:
+                bound = (bound[0], bound[1] + 1)
+            profile = kernel(n, jumps, bound)
+            return None if profile is None else (profile[0], profile[1] - 1)
+
+        monkeypatch.setattr(search, "circulant_distance_profile", low_by_one)
+        with pytest.raises(AssertionError, match="re-measures"):
+            run_search(32, 4, SearchConfig(workers=1))
+
+
+# The rank fields of a checkpoint line, as (key, nested key or None).
+_RANK_FIELDS = (
+    ("n", None), ("k", None), ("reduced", None), ("total", None),
+    ("range", "start"), ("range", "end"), ("cursor_rank", None),
+)
+
+
+@lru_cache(maxsize=None)
+def _genuine_checkpoint() -> str:
+    """The checkpoint a finished (32, 4) search leaves behind."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = Path(tmp) / "ck.jsonl"
+        run_search(32, 4, SearchConfig(workers=1, checkpoint_every=5, checkpoint_path=ck))
+        return ck.read_text()
+
+
+class TestCheckpointFieldTypes:
+    def test_genuine_checkpoint_loads(self, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        ck.write_text(_genuine_checkpoint())
+        states = load_checkpoint(ck, 32, 4, True, count_space(32, 4))
+        assert states[0].cursor == count_space(32, 4)
+
+    @given(
+        field=st.sampled_from(_RANK_FIELDS),
+        value=st.one_of(
+            st.integers(-1, 40).map(float),  # an integral float such as 14.0
+            st.floats(),
+            st.booleans(),
+            st.text(max_size=3),
+            st.none(),
+        ),
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        rec = json.loads(_genuine_checkpoint())
+        key, sub = field
+        holder = rec if sub is None else rec[key]
+        name = key if sub is None else sub
+        original = holder[name]
+        assume(not (type(value) is type(original) and value == original))
+        holder[name] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            ck = Path(tmp) / "ck.jsonl"
+            ck.write_text(json.dumps(rec, sort_keys=True) + "\n")
+            with pytest.raises(CheckpointError):
+                load_checkpoint(ck, 32, 4, True, count_space(32, 4))
