@@ -5,8 +5,8 @@ from vertex 0 fixes the routes 0 -> j, and the route i -> j is the 0-route to
 j - i rotated by i. Cartesian products (tori and hypercubes included) use
 dimension-order routing: coordinates are corrected one factor at a time,
 rightmost factor first, each factor traversed by its own shortest route.
-Either way the table is a dense next-hop map and every routed path is a
-shortest path.
+Either way the table is a dense next-hop map, held as one read-only n x n
+int32 array (4n^2 bytes), and every routed path is a shortest path.
 """
 
 from __future__ import annotations
@@ -14,23 +14,36 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .metrics import DisconnectedError, bfs_distances
 from .topology import Topology, mixed_radix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutingTable:
-    """Dense next-hop map; rows[s][d] is the neighbor of s toward d."""
+    """Dense next-hop map; rows[s, d] is the neighbor of s toward d.
+
+    `rows` is stored as a private read-only n x n int32 copy of whatever
+    array-like is passed in.
+    """
 
     n: int
     scheme: str
-    rows: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.rows, dtype=np.int32)
+        if rows.shape != (self.n, self.n):
+            raise ValueError(f"routing table rows have shape {rows.shape}, need ({self.n}, {self.n})")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     def next_hop(self, s: int, d: int) -> int:
-        return self.rows[s][d]
+        return int(self.rows[s, d])
 
     def to_dict(self) -> dict:
-        return {"scheme": self.scheme, "n": self.n, "rows": [list(r) for r in self.rows]}
+        return {"scheme": self.scheme, "n": self.n, "rows": self.rows.tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -56,17 +69,15 @@ def _first_hops_from_zero(t: Topology) -> list[int]:
 
 
 def circulant_routes(t: Topology) -> RoutingTable:
-    """Shift-generated full table for a circulant-structured topology."""
+    """Shift-generated full table for a circulant-structured topology:
+    rows[i, d] = (i + next0[(d - i) mod n]) mod n, so rows[i, i] = i."""
     if t.jumps is None:
         raise ValueError("circulant_routes needs a circulant-structured topology")
     n = t.n
-    next0 = _first_hops_from_zero(t)
-    rows = []
-    for i in range(n):
-        row = [(i + next0[(d - i) % n]) % n for d in range(n)]
-        row[i] = i
-        rows.append(tuple(row))
-    return RoutingTable(n=n, scheme="vertex-symmetric", rows=tuple(rows))
+    next0 = np.array(_first_hops_from_zero(t), dtype=np.int32)
+    i = np.arange(n, dtype=np.int32)
+    rows = (i[:, None] + next0[(i[None, :] - i[:, None]) % n]) % n
+    return RoutingTable(n=n, scheme="vertex-symmetric", rows=rows)
 
 
 def dimension_order_routes(t: Topology) -> RoutingTable:
@@ -74,7 +85,9 @@ def dimension_order_routes(t: Topology) -> RoutingTable:
 
     Destination coordinates are corrected rightmost factor first; inside a
     factor the hop comes from that factor's own shift-generated table, so
-    route lengths add up factor-wise and stay shortest.
+    route lengths add up factor-wise and stay shortest. Factors are applied
+    left to right, each overwriting the pairs whose digits differ in it, so
+    the rightmost differing factor decides every entry.
     """
     if t.factors is None:
         raise ValueError("dimension_order_routes needs a product topology")
@@ -83,25 +96,14 @@ def dimension_order_routes(t: Topology) -> RoutingTable:
         if f.jumps is None:
             raise ValueError("every product factor needs circulant structure to route")
     weights, coords = mixed_radix([f.n for f in factors])
-    tables = [circulant_routes(f).rows for f in factors]
-
-    n = t.n
-    m = len(factors)
-    rows = []
-    for s in range(n):
-        cs = coords[s]
-        row = [s] * n
-        for d in range(n):
-            if d == s:
-                continue
-            cd = coords[d]
-            for p in range(m - 1, -1, -1):
-                if cs[p] != cd[p]:
-                    hop = tables[p][cs[p]][cd[p]]
-                    row[d] = s + (hop - cs[p]) * weights[p]
-                    break
-        rows.append(tuple(row))
-    return RoutingTable(n=n, scheme="dimension-order", rows=tuple(rows))
+    digits = np.array(coords, dtype=np.int32)
+    s = np.arange(t.n, dtype=np.int32)[:, None]
+    rows = np.broadcast_to(s, (t.n, t.n))
+    for p, f in enumerate(factors):
+        cs, cd = digits[:, p, None], digits[None, :, p]
+        hop = circulant_routes(f).rows[cs, cd]
+        rows = np.where(cs != cd, s + (hop - cs) * weights[p], rows)
+    return RoutingTable(n=t.n, scheme="dimension-order", rows=rows)
 
 
 def route_table(t: Topology) -> RoutingTable:
@@ -117,7 +119,7 @@ def path(table: RoutingTable, s: int, d: int) -> list[int]:
     seq = [s]
     cur = s
     while cur != d:
-        cur = table.rows[cur][d]
+        cur = int(table.rows[cur, d])
         seq.append(cur)
         if len(seq) > table.n:
             raise RuntimeError(f"routing loop between {s} and {d}")

@@ -201,15 +201,19 @@ def adam_canonical(js: JumpSet) -> JumpSet:
     class generated by unit multiplication; distinct classes can still be
     isomorphic in rare degenerate ways, which is fine for its use as a
     grouping key).
+
+    When some jump s is a unit, the image under s^-1 contains 1, so the
+    smallest image starts with 1 and comes from a multiplier +-s'^-1 of some
+    unit jump s'; only those are tried. Otherwise every unit is.
     """
+    n = js.n
+    multipliers = {pow(s, -1, n) for s in js.jumps if math.gcd(s, n) == 1} or (
+        u for u in range(2, n) if math.gcd(u, n) == 1
+    )
     best = js.jumps
-    for u in range(2, js.n):
-        if math.gcd(u, js.n) != 1:
-            continue
-        image = adam_multiply(js, u).jumps
-        if image < best:
-            best = image
-    return JumpSet(js.n, best)
+    for u in multipliers:
+        best = min(best, tuple(sorted(min(u * s % n, -u * s % n) for s in js.jumps)))
+    return JumpSet(n, best)
 
 
 def circulant(js: JumpSet) -> Topology:

@@ -7,17 +7,31 @@ divided by max load serves as an effective-bandwidth style comparison number
 (in units of one link's bandwidth). Everything is exact integer/rational
 arithmetic, so conservation and the all-to-all mean-hops == MPL identity hold
 to full precision.
+
+All flows of a pattern share one code path: `evaluate` walks them
+hop-synchronously in fixed blocks, looking every next hop up in the routing
+table's n x n array (4n^2 bytes) and summing demands into an int64 n x n link
+accumulator (8n^2 bytes). Patterns whose total demand times n reaches 2**63
+are refused so those int64 sums stay exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .routing import RoutingTable, path
+import numpy as np
+
+from .routing import RoutingTable
 from .topology import Topology
+
+# Flows converted to arrays and walked together; bounds the walk's
+# temporaries at a few hundred kB whatever the pattern size.
+FLOW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -34,7 +48,7 @@ class TrafficPattern:
 
     @property
     def total_demand(self) -> int:
-        return sum(dem for _, _, dem in self.flows)
+        return sum(map(itemgetter(2), self.flows))
 
 
 def pattern_all_to_all(n: int) -> TrafficPattern:
@@ -103,27 +117,80 @@ class LoadReport:
         return "\n".join(lines) + "\n"
 
 
+def _check_table(t: Topology, table: RoutingTable) -> None:
+    """Refuse a table that could not have come from `t`: rows[s, s] must be s
+    and rows[s, d] a neighbor of s for every d != s."""
+    n = t.n
+    rows = table.rows
+    if rows.min() < 0 or rows.max() >= n:
+        raise ValueError(f"routing table names a vertex outside [0, {n})")
+    link = np.zeros((n, n), dtype=bool)
+    for u, nbrs in enumerate(t.adjacency):
+        link[u, list(nbrs)] = True
+    vertex = np.arange(n)
+    ok = link[vertex[:, None], rows]
+    ok[vertex, vertex] = rows[vertex, vertex] == vertex
+    if not ok.all():
+        s, d = (int(x) for x in np.argwhere(~ok)[0])
+        if s == d:
+            raise ValueError(f"routing table sends {s} toward itself to {int(rows[s, s])}")
+        raise ValueError(f"routing table hop {s}->{int(rows[s, d])} toward {d} is not a link")
+
+
 def evaluate(t: Topology, table: RoutingTable, pattern: TrafficPattern) -> LoadReport:
-    """Route every flow and accumulate demand on each directed link."""
-    if table.n != t.n:
-        raise ValueError(f"table is for n={table.n}, topology has n={t.n}")
-    loads: dict[tuple[int, int], int] = {}
-    weighted_hops = 0
-    total_demand = 0
-    for s, d, dem in pattern.flows:
-        if not (0 <= s < t.n and 0 <= d < t.n):
+    """Route every flow and accumulate demand on each directed link.
+
+    Flows are walked hop-synchronously, FLOW_BLOCK at a time: each step
+    advances every unfinished flow of the block by rows[cur, d] and adds the
+    demands to an int64 n x n link accumulator (8n^2 bytes beside the
+    table's 4n^2). A pattern whose total demand times n reaches 2**63 is
+    refused up front, since loads and the weighted hop count could wrap; so
+    is a table whose diagonal is not the identity or that hops over a
+    non-link. An endpoint outside [0, n) raises ValueError naming the first
+    such flow, and a flow that has not arrived after n hops raises
+    RuntimeError.
+    """
+    n = t.n
+    if table.n != n:
+        raise ValueError(f"table is for n={table.n}, topology has n={n}")
+    total_demand = pattern.total_demand
+    if total_demand * n >= 2**63:
+        raise ValueError(f"total demand {total_demand} times n={n} does not fit in int64")
+    _check_table(t, table)
+    hops = table.rows.reshape(-1)  # hops[s * n + d] == rows[s, d]
+    acc = np.zeros(n * n, dtype=np.int64)
+    for lo in range(0, len(pattern.flows), FLOW_BLOCK):
+        block = pattern.flows[lo : lo + FLOW_BLOCK]
+        try:
+            flows = np.fromiter(itertools.chain.from_iterable(block), np.int64, 3 * len(block))
+            cur, dst, dem = flows.reshape(-1, 3).T
+            in_range = ((cur >= 0) & (cur < n) & (dst >= 0) & (dst < n)).all()
+        except OverflowError:  # an endpoint beyond int64; demands fit by the bound above
+            in_range = False
+        if not in_range:
+            s, d, _ = next(f for f in block if not (0 <= f[0] < n and 0 <= f[1] < n))
             raise ValueError(f"flow endpoint out of range: {s}->{d}")
-        seq = path(table, s, d)
-        weighted_hops += dem * (len(seq) - 1)
-        total_demand += dem
-        for u, v in zip(seq, seq[1:]):
-            loads[(u, v)] = loads.get((u, v), 0) + dem
+        src = cur
+        for _ in range(n):
+            here = cur * n
+            nxt = hops[here + dst]
+            np.add.at(acc, here + nxt, dem)
+            moving = np.flatnonzero(nxt != dst)
+            if not len(moving):
+                break
+            cur, dst, dem, src = nxt[moving], dst[moving], dem[moving], src[moving]
+        else:
+            raise RuntimeError(f"routing loop between {src[0]} and {dst[0]}")
+    links = np.flatnonzero(acc)
+    u, v = np.divmod(links, n)
+    loads = dict(zip(zip(u.tolist(), v.tolist()), acc[links].tolist()))
+    weighted_hops = int(acc.sum())
     directed_links = sum(len(nbrs) for nbrs in t.adjacency)
     max_load = max(loads.values(), default=0)
     return LoadReport(
         loads=loads,
         max_load=max_load,
-        mean_load=Fraction(sum(loads.values()), directed_links),
+        mean_load=Fraction(weighted_hops, directed_links),
         mean_hops=Fraction(weighted_hops, total_demand),
         eb_proxy=Fraction(total_demand, max_load) if max_load else Fraction(0),
         total_demand=total_demand,

@@ -1,10 +1,17 @@
 """Routing table tests: shortest-path and loop-freedom against BFS, shift
 covariance for circulant tables, factor additivity for dimension order."""
 
+import numpy as np
 import pytest
 
 from circnet.metrics import bfs_distances, diameter_mpl
-from circnet.routing import circulant_routes, dimension_order_routes, path, route_table
+from circnet.routing import (
+    RoutingTable,
+    circulant_routes,
+    dimension_order_routes,
+    path,
+    route_table,
+)
 from circnet.topology import (
     JumpSet,
     cartesian_product,
@@ -146,3 +153,27 @@ class TestExport:
         )
         _, _, mpl = diameter_mpl(t)
         assert total == mpl * t.n * (t.n - 1)
+
+
+class TestArrayTable:
+    def test_rows_are_one_read_only_int32_array(self):
+        table = route_table(torus([4, 3]))
+        assert table.rows.dtype == np.int32 and table.rows.shape == (12, 12)
+        with pytest.raises(ValueError):
+            table.rows[0, 1] = 0
+
+    def test_python_ints_out(self):
+        table = route_table(circulant(JumpSet(16, (1, 6))))
+        assert type(table.next_hop(0, 5)) is int
+        assert all(type(v) is int for v in path(table, 0, 9))
+        assert all(type(v) is int for r in table.to_dict()["rows"] for v in r)
+
+    def test_rows_are_copied_in(self):
+        rows = [[0, 1], [0, 1]]
+        table = RoutingTable(n=2, scheme="x", rows=rows)
+        rows[0][1] = 0
+        assert table.next_hop(0, 1) == 1
+
+    def test_shape_must_match_n(self):
+        with pytest.raises(ValueError, match="shape"):
+            RoutingTable(n=3, scheme="x", rows=[[0, 1], [0, 1]])

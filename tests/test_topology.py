@@ -147,6 +147,23 @@ class TestAdamMultiply:
         assert adam_canonical(adam_multiply(js, u)) == adam_canonical(js)
         assert adam_canonical(js).jumps <= js.jumps
 
+    @given(jump_sets(max_n=120))
+    def test_canonical_is_smallest_unit_image(self, js):
+        assert adam_canonical(js).jumps == canonical_oracle(js)
+
+    @pytest.mark.parametrize(
+        "js",
+        [JumpSet(30, (6, 10, 15)), JumpSet(36, (2, 3, 18)), JumpSet(60, (4, 6, 10, 15)), JumpSet(1, ())],
+    )
+    def test_canonical_without_unit_jumps(self, js):
+        assert adam_canonical(js).jumps == canonical_oracle(js)
+
+
+def canonical_oracle(js):
+    """The definition: the smallest image over every unit multiplier."""
+    units = [u for u in range(1, js.n) if math.gcd(u, js.n) == 1]
+    return min([js.jumps] + [adam_multiply(js, u).jumps for u in units])
+
 
 class TestJumpSpace:
     def test_large_reduced(self):

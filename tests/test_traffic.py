@@ -1,13 +1,22 @@
 """Traffic evaluation tests: conservation is an exact integer identity, the
-ring(4) all-to-all loads come from an independent hand enumeration, and the
-all-to-all mean hop count ties back to the MPL exactly."""
+ring(4) all-to-all loads come from an independent hand enumeration, the
+all-to-all mean hop count ties back to the MPL exactly, and the array
+evaluator matches the per-flow oracle in tests/oracles.py."""
+
+import hashlib
+import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
+from circnet.cli import parse_spec
 from circnet.metrics import diameter_mpl
-from circnet.routing import circulant_routes, path, route_table
+from circnet.routing import RoutingTable, circulant_routes, path, route_table
 from circnet.topology import JumpSet, cartesian_product, circulant, complete, ring, torus
 from circnet.traffic import (
+    FLOW_BLOCK,
+    TrafficPattern,
     evaluate,
     pattern_all_to_all,
     pattern_random_pairs,
@@ -166,3 +175,160 @@ class TestReportFormats:
             "total_demand", "weighted_hops", "num_loaded_links",
         }
         assert d["mean_load"] == pytest.approx(16 / 8)
+
+
+class TestDemandBound:
+    """Total demand times n must stay below 2**63 so the int64 sums are exact."""
+
+    def test_just_under_the_bound_is_exact(self):
+        t = ring(4)
+        a = 2**60 - 1
+        b = (2**63 - 1) // 4 - a  # 4 * (a + b) < 2**63
+        pat = TrafficPattern(kind="x", flows=((0, 2, a), (1, 2, b)))
+        rep = evaluate(t, route_table(t), pat)
+        assert rep.loads == {(0, 1): a, (1, 2): a + b}
+        assert rep.weighted_hops == 2 * a + b
+        assert rep.total_demand == a + b
+        assert rep.max_load == a + b
+
+    def test_at_the_bound_raises_before_routing(self):
+        t = ring(4)
+        table = route_table(t)
+        # The table loops on 0 -> 2 and the last endpoint is out of range;
+        # the bound must be refused before either is met.
+        loop = table.rows.copy()
+        loop[0, 2], loop[1, 2] = 1, 0
+        forged = RoutingTable(n=4, scheme="x", rows=loop)
+        pat = TrafficPattern(kind="x", flows=((0, 2, 2**60), (1, 2, 2**60 - 1), (0, 9, 1)))
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            evaluate(t, forged, pat)
+
+
+class TestEndpointsOutOfRange:
+    def test_names_the_first_bad_flow(self):
+        t = ring(4)
+        pat = TrafficPattern(kind="x", flows=((0, 1, 1), (2, -1, 1), (0, 9, 1)))
+        with pytest.raises(ValueError, match=r"out of range: 2->-1$"):
+            evaluate(t, route_table(t), pat)
+
+    def test_beyond_int64_in_a_later_block(self):
+        t = ring(4)
+        ok = pattern_all_to_all(4).flows * (FLOW_BLOCK // 12 + 1)
+        pat = TrafficPattern(kind="x", flows=ok + ((1, 10**30, 1), (0, 9, 1)))
+        with pytest.raises(ValueError, match=f"out of range: 1->{10**30}$"):
+            evaluate(t, route_table(t), pat)
+
+
+class TestForgedTables:
+    def forge(self, t, entries):
+        rows = route_table(t).rows.copy()
+        for (s, d), v in entries.items():
+            rows[s, d] = v
+        return RoutingTable(n=t.n, scheme="forged", rows=rows)
+
+    def test_hop_over_a_non_edge(self):
+        t = ring(8)
+        forged = self.forge(t, {(0, 4): 4})  # 0 -> 4 is not a ring link
+        with pytest.raises(ValueError, match="0->4 toward 4 is not a link"):
+            evaluate(t, forged, pattern_ring_shift(8, 1))
+
+    def test_diagonal_must_be_identity(self):
+        t = ring(8)
+        with pytest.raises(ValueError, match="sends 3 toward itself to 4"):
+            evaluate(t, self.forge(t, {(3, 3): 4}), pattern_ring_shift(8, 1))
+
+    def test_vertex_out_of_range(self):
+        t = ring(8)
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(t, self.forge(t, {(2, 5): 8}), pattern_ring_shift(8, 1))
+
+    def test_two_vertex_loop(self):
+        t = ring(8)
+        forged = self.forge(t, {(0, 4): 1, (1, 4): 0})  # both hops are links
+        with pytest.raises(RuntimeError, match="between 0 and 4"):
+            path(forged, 0, 4)
+        pat = TrafficPattern(kind="x", flows=((2, 3, 1), (1, 4, 1), (0, 4, 1)))
+        with pytest.raises(RuntimeError, match="between 1 and 4"):
+            evaluate(t, forged, pat)
+
+
+@st.composite
+def small_connected_circulants(draw, max_n):
+    n = draw(st.integers(2, max_n))
+    jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4))
+    assume(math.gcd(n, *jumps) == 1)
+    return circulant(JumpSet(n, tuple(jumps)))
+
+
+@st.composite
+def routable_topologies(draw):
+    """Circulants, and products of two or three circulant factors, n <= 40."""
+    if draw(st.booleans()):
+        return draw(small_connected_circulants(40))
+    t = draw(small_connected_circulants(10))
+    for _ in range(draw(st.integers(1, 2))):
+        if t.n * 2 > 40:
+            break
+        t = cartesian_product(t, draw(small_connected_circulants(40 // t.n)))
+    return t
+
+
+@st.composite
+def demand_patterns(draw, n):
+    kind = draw(st.sampled_from(["all-to-all", "random-pairs", "ring-shift"]))
+    if kind == "all-to-all":
+        base = pattern_all_to_all(n)
+    elif kind == "random-pairs":
+        base = pattern_random_pairs(n, draw(st.integers(1, 3 * n)), draw(st.integers(0, 99)))
+    else:
+        base = pattern_ring_shift(n, draw(st.integers(1, n - 1)))
+    demands = st.one_of(st.integers(1, 9), st.integers(1, 2**40))
+    flows = tuple((s, d, draw(demands)) for s, d, _ in base.flows)
+    return TrafficPattern(kind=kind, flows=flows)
+
+
+class TestAgainstPerFlowOracle:
+    """The array tables and the hop-synchronous walk against the pure-Python
+    builders and the one-flow-at-a-time loop."""
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_identical_reports(self, data):
+        t = data.draw(routable_topologies())
+        pat = data.draw(demand_patterns(t.n))
+        table = route_table(t)
+        want_rows = oracles.route_rows(t)
+        assert table.rows.tolist() == [list(r) for r in want_rows]
+        got, want = evaluate(t, table, pat), oracles.evaluate(t, want_rows, pat)
+        for name in ("loads", "max_load", "mean_load", "mean_hops", "eb_proxy",
+                     "total_demand", "weighted_hops"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert all(type(k[0]) is type(k[1]) is type(v) is int for k, v in got.loads.items())
+        assert got.to_json() == want.to_json()
+        assert got.links_csv() == want.links_csv()
+
+
+# sha256 of route_table(t).to_json() and of the all-to-all report's to_json()
+# and links_csv(), as produced by the per-flow evaluator and the tuple-of-tuples
+# tables before the array rewrite.
+PINNED = {
+    "circulant:512:1,23,31,119,256": (
+        "6ea687bbb36ecdfb019045c138132a4a4277c991b53d9e3d8f6d06fab57c42e2",
+        "1e9784f4a161c4e257260d04590988c3ac118645d6f4d6b5fdb912aafc9a14d1",
+        "578ba54394cbb24a25aebadf432c2ee96299fbc6ff0d080f62d2f443563a4165",
+    ),
+    "torus:8,4,4,4": (
+        "5bfdca4e4dea3d60569e0987f6e6194fe6652d34c85902e274dd3cc25a90d934",
+        "d97772614e56d0aaf67b226e814757f44a2f2fc51490bd639467c29b39cf7261",
+        "e5abcfa07760a3e5efc260a3f04cb9a07d0d5c612627c4ffa05a463d3f944e82",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED))
+def test_pinned_digests(spec):
+    t = parse_spec(spec)
+    table = route_table(t)
+    rep = evaluate(t, table, pattern_all_to_all(t.n))
+    got = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (table.to_json(), rep.to_json(), rep.links_csv()))
+    assert got == PINNED[spec]
