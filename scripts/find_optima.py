@@ -11,6 +11,7 @@ Examples:
 import argparse
 import time
 
+from circnet.metrics import DEFAULT_RESTARTS
 from circnet.search import SearchConfig, run_search
 from circnet.topology import InfeasibleDegreeError
 
@@ -20,7 +21,7 @@ def main() -> None:
     ap.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 64, 128])
     ap.add_argument("--degrees", type=int, nargs="+", default=[4, 5, 6])
     ap.add_argument("--workers", type=int, default=None)
-    ap.add_argument("--restarts", type=int, default=64)
+    ap.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     args = ap.parse_args()
 
     print(f"{'n':>5} {'k':>3} {'jumps':<24} {'D':>3} {'MPL':>6} {'BW':>5} {'exact':>5} {'s':>7}")

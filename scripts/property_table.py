@@ -4,48 +4,30 @@ the optimal circulants, their products with the 4-vertex complete graph,
 tori, and hypercubes at sizes 32..1024, normalized against the torus, with
 the cross-size ratio averages.
 
-The optimal circulant jump sets are the search results for each (n, k); they
-are embedded here so this script does not spend hours re-searching the large
-sizes (scripts/find_optima.py re-derives the small ones on demand).
+The rows measured are the published ones, `PROPERTY_TABLE` in
+tests/reference_data.py, so this script needs a full checkout. The optimal
+circulant jump sets there are the search results for each (n, k); reading
+them spares hours of re-searching the large sizes (scripts/find_optima.py
+re-derives the small ones on demand).
 
 Runtime: a few minutes; dominated by the bisection heuristic on n >= 512.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 from circnet.cli import parse_spec
-from circnet.metrics import compute_metrics
+from circnet.metrics import DEFAULT_RESTARTS, compute_metrics
 from circnet.report import average_ratios, build_table, percent_increase, percent_reduction, to_csv
 
-OPTIMAL_JUMPS = {
-    (32, 4): (1, 7),
-    (32, 5): (1, 6, 16),
-    (64, 4): (1, 14),
-    (64, 6): (1, 4, 25),
-    (128, 6): (1, 8, 54),
-    (128, 7): (1, 12, 30, 64),
-    (256, 6): (1, 47, 122),
-    (256, 8): (1, 9, 74, 103),
-    (512, 8): (1, 15, 56, 149),
-    (512, 9): (1, 23, 31, 119, 256),
-    (1024, 8): (1, 144, 258, 276),
-    (1024, 10): (1, 38, 70, 393, 481),
-}
-
-# (n, low-degree k, high-degree k, torus dims, product factor spec, hypercube d)
-FAMILIES = [
-    (32, 4, 5, "torus:8,4", "product:ring:8*complete:4", 5),
-    (64, 4, 6, "torus:8,8", "product:circulant:16:1,8*complete:4", 6),
-    (128, 6, 7, "torus:8,4,4", "product:circulant:32:1,7*complete:4", 7),
-    (256, 6, 8, "torus:8,8,4", "product:circulant:64:1,7,32*complete:4", 8),
-    (512, 8, 9, "torus:8,4,4,4", "product:circulant:128:1,8,54*complete:4", 9),
-    (1024, 8, 10, "torus:8,8,4,4", "product:circulant:256:1,13,33,128*complete:4", 10),
-]
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_data import PROPERTY_TABLE  # noqa: E402
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--restarts", type=int, default=64)
+    ap.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument(
         "--max-n", type=int, default=1024, help="largest size to include"
@@ -53,24 +35,13 @@ def main() -> None:
     args = ap.parse_args()
 
     tables = []
-    for n, k_low, k_high, torus_spec, product_spec, hc_d in FAMILIES:
+    for n, rows in PROPERTY_TABLE.items():
         if n > args.max_n:
             continue
-        oc_low = ",".join(str(j) for j in OPTIMAL_JUMPS[(n, k_low)])
-        oc_high = ",".join(str(j) for j in OPTIMAL_JUMPS[(n, k_high)])
-        rows = [
-            ("torus", torus_spec),
-            ("oc-low", f"circulant:{n}:{oc_low}"),
-            ("oc-high", f"circulant:{n}:{oc_high}"),
-            ("product", product_spec),
-            ("hypercube", f"hypercube:{hc_d}"),
-        ]
         records = []
-        for label, spec in rows:
-            m = compute_metrics(
-                parse_spec(spec), restarts=args.restarts, seed=args.seed
-            )
-            records.append((label, m))
+        for row in rows:
+            m = compute_metrics(parse_spec(row.spec), restarts=args.restarts, seed=args.seed)
+            records.append((row.label, m))
         table = build_table(records, "torus")
         tables.append(table)
         print(to_csv(table), end="")

@@ -101,7 +101,10 @@ def _spec_from_descriptor(desc: dict[str, Any]) -> str:
     if kind == "torus":
         return f"torus:{','.join(str(d) for d in params['dims'])}"
     if kind == "product":
-        return "product:" + "*".join(_spec_from_descriptor(f) for f in params["factors"])
+        # a nested product's operands join the flat `*` list, which is the
+        # only form parse_spec reads
+        operands = (_spec_from_descriptor(f).removeprefix("product:") for f in params["factors"])
+        return "product:" + "*".join(operands)
     raise SpecError(f"descriptor kind {kind!r} has no spec form")
 
 
@@ -287,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-space", action="store_true", help="skip the fixed-jump-1 reduction")
     p.add_argument("--out", help="results file, one JSON record per line")
     p.add_argument("--checkpoint", help="checkpoint file; resumed when present")
-    p.add_argument("--checkpoint-every", type=int, default=500_000)
+    p.add_argument("--checkpoint-every", type=int, default=SearchConfig.checkpoint_every)
     add_bisection_flags(p)
     p.set_defaults(func=cmd_search)
 

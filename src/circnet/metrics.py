@@ -266,8 +266,6 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
         )
     if n > _EXACT_HARD_CAP:
         raise ExactLimitError(f"exact enumeration capped at n={_EXACT_HARD_CAP}")
-    if n == 2:
-        return len(t.adjacency[0])
 
     half = n // 2
     cin_lo, base_lo = _half_tables(t, 0, half)
@@ -454,12 +452,15 @@ def _kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
             return cut
 
 
-def _contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, list[tuple[int, int]]]:
+def _contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, np.ndarray]:
     """Pair every vertex with a mate (heaviest unmatched neighbor first, then
     leftovers pair among themselves) and merge pairs into a half-size graph.
 
-    Pairing everything keeps cluster sizes equal at every level, which is
-    what lets coarse balanced swaps stay balanced after projection.
+    Returns the coarse graph and the cluster map: cid[v] is v's coarse
+    vertex, numbered by each pair's first appearance in the shuffled order,
+    so a coarse side projects back as side[cid]. Pairing everything keeps
+    cluster sizes equal at every level, which is what lets coarse balanced
+    swaps stay balanced after projection.
     """
     n = g.n
     order = list(range(n))
@@ -478,17 +479,14 @@ def _contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, list[tuple
     for a, b in zip(singles[::2], singles[1::2]):
         mate[a] = b
         mate[b] = a
-    cid = [-1] * n
-    pairs: list[tuple[int, int]] = []
-    for u in order:
-        if cid[u] == -1:
-            cid[u] = cid[mate[u]] = len(pairs)
-            pairs.append((u, int(mate[u])))
-    a, b = (np.array(x) for x in zip(*pairs))
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    cid = np.unique(np.minimum(pos, pos[mate]), return_inverse=True)[1]
+    a, b = np.argsort(cid, kind="stable").reshape(-1, 2).T  # each cluster's members
     rows = g.weights[a] + g.weights[b]
     coarse = rows[:, a] + rows[:, b]
     np.fill_diagonal(coarse, 0)  # edges inside a pair vanish
-    return _WorkGraph(coarse), pairs
+    return _WorkGraph(coarse), cid
 
 
 # Heuristic shape: coarsen down to this many vertices before the first
@@ -498,24 +496,24 @@ _ILS_ROUNDS = 6
 
 
 def _multilevel_cut(g: _WorkGraph, rng: random.Random) -> tuple[int, np.ndarray]:
-    """One V-cycle: contract to the floor, bisect, project back refining."""
+    """One V-cycle: contract to the floor, bisect, project back refining.
+
+    Each level's cluster map projects a coarse side onto the finer level
+    with one gather, side[cid].
+    """
     levels = [g]
-    maps: list[list[tuple[int, int]]] = []
+    maps: list[np.ndarray] = []
     while levels[-1].n > _COARSEN_FLOOR and levels[-1].n % 2 == 0:
-        coarse, pairs = _contract(levels[-1], rng)
+        coarse, cid = _contract(levels[-1], rng)
         levels.append(coarse)
-        maps.append(pairs)
+        maps.append(cid)
     top = levels[-1]
     side = np.ones(top.n, dtype=np.int8)
     side[rng.sample(range(top.n), top.n // 2)] = 0
     cut = _kl_refine(top, side)
     for level in range(len(levels) - 2, -1, -1):
-        fine = levels[level]
-        fine_side = np.empty(fine.n, dtype=np.int8)
-        for c, (a, b) in enumerate(maps[level]):
-            fine_side[a] = fine_side[b] = side[c]
-        side = fine_side
-        cut = _kl_refine(fine, side)
+        side = side[maps[level]]
+        cut = _kl_refine(levels[level], side)
     return cut, side
 
 

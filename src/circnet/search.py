@@ -389,7 +389,10 @@ def _run_states(
     n: int, k: int, plan: JumpSpacePlan, states: list[_RangeState], config: SearchConfig
 ) -> None:
     """Drive every range to completion, chunk by chunk, optionally parallel;
-    each finished chunk's state replaces its range's entry in `states`."""
+    each finished chunk's state replaces its range's entry in `states`.
+
+    The checkpoint is written once before the first chunk, so a path that
+    cannot be written fails before anything is scanned."""
 
     def checkpoint() -> None:
         if config.checkpoint_path is not None:
@@ -400,6 +403,7 @@ def _run_states(
     def chunk_end(st: _RangeState) -> int:
         return min(st.cursor + config.checkpoint_every, st.rank_range.end)
 
+    checkpoint()
     workers = config.resolved_workers()
     pending = [i for i, st in enumerate(states) if st.cursor < st.rank_range.end]
     if workers == 1 or len(pending) <= 1:

@@ -1,9 +1,14 @@
 """CLI tests: spec grammar round-trips, output payload shapes, exit codes,
 and file side effects. Subcommands are invoked in-process via main()."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from circnet import metrics, search
 from circnet.cli import (
@@ -24,6 +29,8 @@ SPECS = [
     "torus:8,8,4",
     "product:ring:8*complete:4",
     "product:circulant:256:1,13,33,128*complete:4",
+    "product:ring:4*ring:4*ring:5",
+    "product:torus:4,4*ring:5*complete:2",
 ]
 
 
@@ -73,6 +80,26 @@ class TestMetricsCommand:
         part = tmp_path / "part.txt"
         part.write_text("0 1 2\n3 4 5 6 7\n")
         assert main(["metrics", "ring:8", "--partition", str(part)]) == EXIT_INFEASIBLE
+
+
+class TestPartitionFileFuzz:
+    @given(
+        st.one_of(
+            st.text(),
+            st.permutations(range(8)).map(
+                lambda p: " ".join(map(str, p[:4])) + "\n" + " ".join(map(str, p[4:])) + "\n"
+            ),
+        )
+    )
+    def test_exits_cleanly(self, text):
+        # any file is either measured (0) or refused as infeasible (3); an
+        # exception escaping main() would be a traceback on the command line
+        with tempfile.TemporaryDirectory() as d:
+            part = Path(d) / "part.txt"
+            part.write_text(text, encoding="utf-8")
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                rc = main(["metrics", "ring:8", "--partition", str(part)])
+        assert rc in (EXIT_OK, EXIT_INFEASIBLE)
 
 
 class TestRestartsValidation:

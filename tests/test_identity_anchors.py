@@ -1,0 +1,44 @@
+"""Byte-identity anchors.
+
+sha256 digests of results files and of bisection sides for fixed configs and
+seeds. A refactor must leave every one unchanged; a change that moves one
+changes what the program computes and has to say so.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from circnet.cli import parse_spec
+from circnet.metrics import _best_balanced_side
+from circnet.search import SearchConfig, run_search, write_results
+
+# write_results bytes for SearchConfig(workers=1, restarts=16, seed=0)
+RESULTS_SHA256 = {
+    (32, 4): "d8768311c8cb9ee8d56e006be1ae72f132c534c506141e22c7f3ef20ea058e34",
+    (32, 5): "8d3321f7a986f1cdc4a29e05ec4b1ca6fcc1198075e8e9c71254123153221109",
+    (64, 6): "ecf81e5459162436475c93967372afc5a39816d488455b0627d4489756c8b9bc",
+    (128, 6): "638bf4d4bded85aa63445d6e2e37f950cbf2ed6fb41342260d20f82f8d0075e0",
+}
+
+# int8 side of _best_balanced_side(t, 16, seed)
+SIDE_SHA256 = {
+    ("circulant:128:1,8,54", 0): "757ea552b6af459f46f62f3855c30c3ec3bf6a2f9f88307af318f3486785086d",
+    ("torus:8,8,4", 7): "bee9c8741f8bd0666cc672fb112f7c3668b71e8e122c60838e3577543f831f54",
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(RESULTS_SHA256))
+def test_results_file_digest(n, k, tmp_path):
+    records, _ = run_search(n, k, SearchConfig(workers=1, restarts=16, seed=0))
+    path = tmp_path / "results.jsonl"
+    write_results(path, records)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RESULTS_SHA256[(n, k)]
+
+
+@pytest.mark.parametrize("spec, seed", sorted(SIDE_SHA256))
+def test_bisection_side_digest(spec, seed):
+    _, side = _best_balanced_side(parse_spec(spec), 16, seed)
+    assert side.dtype == np.int8
+    assert hashlib.sha256(side.tobytes()).hexdigest() == SIDE_SHA256[(spec, seed)]

@@ -396,6 +396,37 @@ class TestBisectionHeuristic:
             bisection_heuristic(ring(9))
 
 
+def _partition_text(perm, fault, i, j):
+    """A balanced split of ring(8)'s vertices as partition-file text, with at
+    most one fault: i and j pick the vertices it touches."""
+    a, b = [str(v) for v in perm[:4]], [str(v) for v in perm[4:]]
+    if fault == "move":  # a cover, unbalanced
+        b.append(a.pop(i))
+    elif fault == "overlap":  # a balanced cover, with a vertex on both sides
+        a, b = a + [b[i]], b + [a[j]]
+    elif fault == "repeat":
+        a[i] = a[j]
+    elif fault == "stray":
+        a[i] = ("-1", "8")[j % 2]
+    elif fault == "token":
+        a[i] = "x"
+    lines = [" ".join(a), " ".join(b)] + (["0"] if fault == "third line" else [])
+    return "\n".join(lines) + "\n"
+
+
+# Partition-file text: arbitrary, or a split of ring(8) with one fault.
+st_partition_text = st.one_of(
+    st.text(),
+    st.builds(
+        _partition_text,
+        st.permutations(range(8)),
+        st.sampled_from(["", "move", "overlap", "repeat", "stray", "token", "third line"]),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    ),
+)
+
+
 class TestPartitionImport:
     def test_cut_recomputed(self):
         t = ring(8)
@@ -423,6 +454,19 @@ class TestPartitionImport:
             parse_partition("0 1\n2 x\n")
         with pytest.raises(PartitionFileError):
             parse_partition("0 1 2 3\n")
+
+    @given(st_partition_text)
+    def test_fuzzed_text(self, text):
+        # anything is either refused as a partition file or is a balanced
+        # disjoint cover whose cut is counted again here, edge by edge
+        try:
+            a, b = parse_partition(text)
+            cut = balanced_partition_cut(ring(8), (a, b))
+        except PartitionFileError:
+            return
+        assert len([ln for ln in text.splitlines() if ln.strip()]) == 2
+        assert len(a) == len(b) and sorted(a + b) == list(range(8))
+        assert cut == sum((v in a) != ((v + 1) % 8 in a) for v in range(8))
 
 
 class TestMetricsRecord:

@@ -337,6 +337,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="restarts"):
             run_search(63, 4, SearchConfig(workers=1, restarts=0))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unwritable_checkpoint_fails_before_the_scan(self, workers, tmp_path):
+        path = tmp_path / "missing" / "ck.jsonl"
+        with pytest.raises(OSError):
+            run_search(64, 4, SearchConfig(workers=workers, checkpoint_path=path))
+
 
 class TestRecordsAreReMeasured:
     def test_unverified_record_is_never_emitted(self, monkeypatch):
