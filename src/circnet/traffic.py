@@ -1,12 +1,19 @@
 """Flow-level traffic evaluation.
 
-Patterns are lists of (source, destination, demand) flows; evaluation pushes
-each flow's demand along its single routed path and aggregates per directed
-link. Max link load is the static congestion figure, and aggregate demand
-divided by max load serves as an effective-bandwidth style comparison number
-(in units of one link's bandwidth). Everything is exact integer/rational
-arithmetic, so conservation and the all-to-all mean-hops == MPL identity hold
-to full precision.
+A pattern is a sequence of (source, destination, demand) flows, stored as
+three read-only int64 arrays `src`, `dst` and `demand` (24 bytes per flow);
+the tuple-of-tuples `flows` view is built only when asked for. Evaluation
+pushes each flow's demand along its single routed path and aggregates per
+directed link. Max link load is the static congestion figure, and aggregate
+demand divided by max load serves as an effective-bandwidth style comparison
+number (in units of one link's bandwidth). Everything is exact
+integer/rational arithmetic, so conservation and the all-to-all mean-hops ==
+MPL identity hold to full precision.
+
+The builders fill the arrays with numpy. Random pairs reproduce, draw for
+draw, the per-pair `randrange` calls of `random.Random(seed)`: numpy's
+MT19937 is started from that generator's state and its raw 32-bit words are
+accepted or rejected exactly as CPython's `_randbelow` does.
 
 All flows of a pattern share one code path: `evaluate` walks them
 hop-synchronously in fixed blocks, looking every next hop up in the routing
@@ -17,71 +24,154 @@ are refused so those int64 sums stay exact.
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
 from .routing import RoutingTable
 from .topology import Topology
 
-# Flows converted to arrays and walked together; bounds the walk's
-# temporaries at a few hundred kB whatever the pattern size.
+# Flows walked together; bounds the walk's temporaries at a few hundred kB
+# whatever the pattern size.
 FLOW_BLOCK = 8192
 
+# Mersenne Twister words drawn at a time by `pattern_random_pairs`; bounds its
+# temporaries at a few MB whatever the number of pairs.
+WORD_BLOCK = 1 << 16
 
-@dataclass(frozen=True)
+
 class TrafficPattern:
-    kind: str
-    flows: tuple[tuple[int, int, int], ...]  # (source, destination, demand)
+    """Flows (src[i], dst[i], demand[i]) held as three read-only arrays.
 
-    def __post_init__(self) -> None:
-        for s, d, dem in self.flows:
-            if s == d:
-                raise ValueError(f"flow with equal endpoints: {s}")
-            if dem <= 0:
-                raise ValueError(f"non-positive demand on flow {s}->{d}")
+    `TrafficPattern(kind, flows)` takes any sequence of (source, destination,
+    demand) integer triples. The arrays are int64 when every value fits, and
+    object arrays of Python ints otherwise (`evaluate` refuses such a pattern
+    before routing: a demand that large breaks the int64 bound and an endpoint
+    that large is out of range). A flow with equal endpoints or a
+    non-positive demand raises ValueError naming the first such flow.
+    """
+
+    def __init__(self, kind: str, flows) -> None:
+        flows = tuple(flows)
+        try:
+            cols = np.array(flows, dtype=np.int64)
+        except OverflowError:
+            cols = np.array(flows, dtype=object)
+        self._store(kind, *cols.reshape(-1, 3).T, flows)
+
+    @classmethod
+    def _unit_flows(cls, kind: str, src: np.ndarray, dst: np.ndarray) -> TrafficPattern:
+        """Unit-demand flows src[i] -> dst[i], owning both arrays as they are;
+        `flows` is built from them on first use."""
+        pattern = cls.__new__(cls)
+        pattern._store(kind, src, dst, np.ones(len(src), dtype=np.int64), None)
+        return pattern
+
+    def _store(self, kind, src, dst, demand, flows) -> None:
+        bad = (src == dst) | (demand <= 0)
+        if bad.any():
+            i = int(bad.argmax())
+            if src[i] == dst[i]:
+                raise ValueError(f"flow with equal endpoints: {src[i]}")
+            raise ValueError(f"non-positive demand on flow {src[i]}->{dst[i]}")
+        for col in (src, dst, demand):
+            col.flags.writeable = False
+        self.kind, self.src, self.dst, self.demand = kind, src, dst, demand
+        self._flows = flows
+
+    @property
+    def flows(self) -> tuple[tuple[int, int, int], ...]:
+        """The flows as (source, destination, demand) tuples: those given to
+        the constructor, or tuples of Python ints built from the arrays on
+        first use."""
+        if self._flows is None:
+            self._flows = tuple(zip(self.src.tolist(), self.dst.tolist(), self.demand.tolist()))
+        return self._flows
 
     @property
     def total_demand(self) -> int:
-        return sum(map(itemgetter(2), self.flows))
+        """Exact sum of the demands; summed as Python ints when an int64 sum
+        could wrap."""
+        demand = self.demand
+        if demand.dtype == object or int(demand.max(initial=0)) * len(demand) >= 2**63:
+            return sum(demand.tolist())
+        return int(demand.sum())
 
 
 def pattern_all_to_all(n: int) -> TrafficPattern:
-    """One unit-demand flow per ordered pair."""
+    """One unit-demand flow per ordered pair, sources in order and each
+    source's destinations in order."""
     if n < 2:
         raise ValueError("all-to-all needs at least 2 vertices")
-    flows = tuple((s, d, 1) for s in range(n) for d in range(n) if s != d)
-    return TrafficPattern(kind="all-to-all", flows=flows)
+    src = np.repeat(np.arange(n, dtype=np.int64), n - 1)
+    dst = np.tile(np.arange(n - 1, dtype=np.int64), n)
+    dst += dst >= src
+    return TrafficPattern._unit_flows("all-to-all", src, dst)
 
 
 def pattern_random_pairs(n: int, pairs: int, seed: int = 0) -> TrafficPattern:
-    """`pairs` unit-demand flows with uniformly random distinct endpoints."""
+    """`pairs` unit-demand flows with uniformly random distinct endpoints.
+
+    Flow i is the i-th (s, d) of the loop `s = rng.randrange(n);
+    d = rng.randrange(n - 1); d += d >= s` on `rng = random.Random(seed)`.
+    CPython draws `randrange(m)` as 32-bit Mersenne Twister words w, taking
+    w >> (32 - m.bit_length()) and drawing again while that is not below m.
+    Here numpy's MT19937, started from `rng`'s state, supplies the words a
+    block at a time. Whether a word is tried as an s or a d draw is a
+    two-state scan: a word accepted as both flips the state, one accepted as
+    exactly one sets it (to "d next" when it is a good s), and one accepted
+    as neither keeps it. So the state after word i is the value of the last
+    setting word, XOR the parity of the flips since it.
+    """
     if pairs < 1:
         raise ValueError("need at least one pair")
     if n < 2:
         raise ValueError("random pairs need at least 2 vertices")
-    rng = random.Random(seed)
-    flows = []
-    for _ in range(pairs):
-        s = rng.randrange(n)
-        d = rng.randrange(n - 1)
-        if d >= s:
-            d += 1
-        flows.append((s, d, 1))
-    return TrafficPattern(kind="random-pairs", flows=tuple(flows))
+    if n >= 2**32:
+        raise ValueError(f"random pairs draw endpoints from 32-bit words; n={n} is too large")
+    state = random.Random(seed).getstate()[1]  # 624 key words, then the position
+    mt = np.random.MT19937()
+    mt.state = {"bit_generator": "MT19937", "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]}}
+    shift_s, shift_d = 32 - n.bit_length(), 32 - (n - 1).bit_length()
+    src = np.empty(pairs, dtype=np.int64)
+    dst = np.empty(pairs, dtype=np.int64)
+    # With flips[i] the parity of the flipping words up to word i, the state
+    # after word i is setting[k] ^ flips[i], where k is one more than the last
+    # setting word up to i (0 if none): setting[0] is the state before the
+    # block, and setting[j + 1] = good_s[j] ^ flips[j] the state that setting
+    # word j leaves, with the flips before it cancelled.
+    setting = np.empty(WORD_BLOCK + 1, dtype=bool)
+    mark = np.arange(1, WORD_BLOCK + 1, dtype=np.int32)
+    wants_d = False  # the state: True while an s is drawn and its d is not
+    ns = nd = 0
+    while nd < pairs:
+        w = mt.random_raw(WORD_BLOCK)
+        s_draw, d_draw = w >> shift_s, w >> shift_d
+        good_s, good_d = s_draw < n, d_draw < n - 1
+        flips = np.logical_xor.accumulate(good_s & good_d)
+        setting[0] = wants_d
+        np.not_equal(good_s, flips, out=setting[1:])
+        after = np.take(setting, np.maximum.accumulate(mark * (good_s != good_d))) ^ flips
+        before = np.concatenate(([wants_d], after[:-1]))
+        s_vals = np.compress(good_s & ~before, s_draw)[: pairs - ns]
+        d_vals = np.compress(good_d & before, d_draw)[: pairs - nd]
+        src[ns : ns + len(s_vals)] = s_vals
+        dst[nd : nd + len(d_vals)] = d_vals
+        ns, nd = ns + len(s_vals), nd + len(d_vals)
+        wants_d = bool(after[-1])
+    dst += dst >= src
+    return TrafficPattern._unit_flows("random-pairs", src, dst)
 
 
 def pattern_ring_shift(n: int, shift: int) -> TrafficPattern:
     """One unit-demand flow i -> (i + shift) mod n for every vertex."""
     if not 1 <= shift < n:
         raise ValueError(f"shift must be in [1, {n - 1}], got {shift}")
-    flows = tuple((i, (i + shift) % n, 1) for i in range(n))
-    return TrafficPattern(kind="ring-shift", flows=flows)
+    src = np.arange(n, dtype=np.int64)
+    return TrafficPattern._unit_flows("ring-shift", src, (src + shift) % n)
 
 
 @dataclass(frozen=True)
@@ -146,8 +236,8 @@ def evaluate(t: Topology, table: RoutingTable, pattern: TrafficPattern) -> LoadR
     table's 4n^2). A pattern whose total demand times n reaches 2**63 is
     refused up front, since loads and the weighted hop count could wrap; so
     is a table whose diagonal is not the identity or that hops over a
-    non-link. An endpoint outside [0, n) raises ValueError naming the first
-    such flow, and a flow that has not arrived after n hops raises
+    non-link, and a pattern with an endpoint outside [0, n), naming the
+    first such flow. A flow that has not arrived after n hops raises
     RuntimeError.
     """
     n = t.n
@@ -157,30 +247,27 @@ def evaluate(t: Topology, table: RoutingTable, pattern: TrafficPattern) -> LoadR
     if total_demand * n >= 2**63:
         raise ValueError(f"total demand {total_demand} times n={n} does not fit in int64")
     _check_table(t, table)
+    src, dst, demand = pattern.src, pattern.dst, pattern.demand
+    outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    if outside.any():
+        i = int(outside.argmax())
+        raise ValueError(f"flow endpoint out of range: {src[i]}->{dst[i]}")
     hops = table.rows.reshape(-1)  # hops[s * n + d] == rows[s, d]
     acc = np.zeros(n * n, dtype=np.int64)
-    for lo in range(0, len(pattern.flows), FLOW_BLOCK):
-        block = pattern.flows[lo : lo + FLOW_BLOCK]
-        try:
-            flows = np.fromiter(itertools.chain.from_iterable(block), np.int64, 3 * len(block))
-            cur, dst, dem = flows.reshape(-1, 3).T
-            in_range = ((cur >= 0) & (cur < n) & (dst >= 0) & (dst < n)).all()
-        except OverflowError:  # an endpoint beyond int64; demands fit by the bound above
-            in_range = False
-        if not in_range:
-            s, d, _ = next(f for f in block if not (0 <= f[0] < n and 0 <= f[1] < n))
-            raise ValueError(f"flow endpoint out of range: {s}->{d}")
-        src = cur
+    for lo in range(0, len(src), FLOW_BLOCK):
+        block = slice(lo, lo + FLOW_BLOCK)
+        cur, to, dem = src[block], dst[block], demand[block]
+        start = cur
         for _ in range(n):
             here = cur * n
-            nxt = hops[here + dst]
+            nxt = hops[here + to]
             np.add.at(acc, here + nxt, dem)
-            moving = np.flatnonzero(nxt != dst)
+            moving = np.flatnonzero(nxt != to)
             if not len(moving):
                 break
-            cur, dst, dem, src = nxt[moving], dst[moving], dem[moving], src[moving]
+            cur, to, dem, start = nxt[moving], to[moving], dem[moving], start[moving]
         else:
-            raise RuntimeError(f"routing loop between {src[0]} and {dst[0]}")
+            raise RuntimeError(f"routing loop between {start[0]} and {to[0]}")
     links = np.flatnonzero(acc)
     u, v = np.divmod(links, n)
     loads = dict(zip(zip(u.tolist(), v.tolist()), acc[links].tolist()))

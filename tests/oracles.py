@@ -1,15 +1,39 @@
-"""Pure-Python reference implementations of the routing tables and of flow
-evaluation, kept only for tests to compare the array code against.
+"""Pure-Python reference implementations of the traffic patterns, the routing
+tables and flow evaluation, kept only for tests to compare the array code
+against.
 
-The table builders fill one Python list per source vertex, and `evaluate`
-routes one flow at a time along its path, adding each hop's demand to a dict.
+The pattern builders make one tuple per flow, random pairs by one
+`randrange` call per endpoint; the table builders fill one Python list per
+source vertex; and `evaluate` routes one flow at a time along its path,
+adding each hop's demand to a dict.
 """
 
+import random
 from fractions import Fraction
 
 from circnet.routing import _first_hops_from_zero
 from circnet.topology import Topology, mixed_radix
 from circnet.traffic import LoadReport, TrafficPattern
+
+
+def all_to_all_flows(n: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple((s, d, 1) for s in range(n) for d in range(n) if s != d)
+
+
+def random_pairs_flows(n: int, pairs: int, seed: int) -> tuple[tuple[int, int, int], ...]:
+    rng = random.Random(seed)
+    flows = []
+    for _ in range(pairs):
+        s = rng.randrange(n)
+        d = rng.randrange(n - 1)
+        if d >= s:
+            d += 1
+        flows.append((s, d, 1))
+    return tuple(flows)
+
+
+def ring_shift_flows(n: int, shift: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple((i, (i + shift) % n, 1) for i in range(n))
 
 
 def circulant_rows(t: Topology) -> tuple[tuple[int, ...], ...]:

@@ -1,21 +1,24 @@
 """Traffic evaluation tests: conservation is an exact integer identity, the
 ring(4) all-to-all loads come from an independent hand enumeration, the
 all-to-all mean hop count ties back to the MPL exactly, and the array
-evaluator matches the per-flow oracle in tests/oracles.py."""
+builders and evaluator match the per-flow oracles in tests/oracles.py."""
 
 import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from circnet.cli import parse_spec
+from circnet.cli import main, parse_spec
 from circnet.metrics import diameter_mpl
 from circnet.routing import RoutingTable, circulant_routes, path, route_table
 from circnet.topology import JumpSet, cartesian_product, circulant, complete, ring, torus
 from circnet.traffic import (
     FLOW_BLOCK,
+    WORD_BLOCK,
     TrafficPattern,
     evaluate,
     pattern_all_to_all,
@@ -56,6 +59,67 @@ class TestPatterns:
             pattern_ring_shift(8, 0)
         with pytest.raises(ValueError):
             pattern_ring_shift(8, 8)
+
+    @pytest.mark.parametrize(
+        "flows, message",
+        [
+            (((0, 1, 1), (2, 2, 1), (1, 3, 0)), r"^flow with equal endpoints: 2$"),
+            (((0, 1, 1), (1, 3, 0), (2, 2, 1)), r"^non-positive demand on flow 1->3$"),
+            (((0, 1, 1), (1, 3, -(2**70))), r"^non-positive demand on flow 1->3$"),
+            (((0, 1, 1), (10**30, 10**30, 1)), rf"^flow with equal endpoints: {10**30}$"),
+        ],
+    )
+    def test_construction_names_the_first_bad_flow(self, flows, message):
+        with pytest.raises(ValueError, match=message):
+            TrafficPattern(kind="x", flows=flows)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            pattern_all_to_all(5),
+            pattern_random_pairs(5, 9, seed=2),
+            pattern_ring_shift(5, 2),
+            TrafficPattern(kind="x", flows=((0, 1, 3), (1, 0, 4))),
+            TrafficPattern(kind="x", flows=((0, 1, 3), (1, 10**30, 4))),
+        ],
+    )
+    def test_arrays_are_read_only(self, pattern):
+        for name in ("src", "dst", "demand"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(pattern, name)[0] = 1
+
+
+vertex_counts = st.one_of(st.integers(2, 1100), st.sampled_from([2**k for k in range(1, 11)]))
+
+
+class TestBuildersAgainstOracle:
+    """The numpy builders against one tuple per flow and one randrange call
+    per endpoint. Powers of two make randrange(n) reject about half its
+    words, and pair counts up to a few WORD_BLOCKs of words carry the draw
+    state across blocks."""
+
+    @given(
+        vertex_counts,
+        st.one_of(st.integers(1, 64), st.integers(1, WORD_BLOCK)),
+        st.one_of(st.just(0), st.integers(-(2**80), -1), st.integers(0, 2**32), st.integers(2**64, 2**100)),
+    )
+    @example(n=2, pairs=2 * WORD_BLOCK, seed=-1)
+    @example(n=1024, pairs=3 * WORD_BLOCK, seed=2**64 + 1)
+    @settings(max_examples=40)
+    def test_random_pairs(self, n, pairs, seed):
+        assert pattern_random_pairs(n, pairs, seed).flows == oracles.random_pairs_flows(n, pairs, seed)
+
+    @given(st.integers(2, 160))
+    @settings(max_examples=20)
+    def test_all_to_all(self, n):
+        assert pattern_all_to_all(n).flows == oracles.all_to_all_flows(n)
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_ring_shift(self, data):
+        n = data.draw(vertex_counts)
+        shift = data.draw(st.integers(1, n - 1))
+        assert pattern_ring_shift(n, shift).flows == oracles.ring_shift_flows(n, shift)
 
 
 def ring4_oracle_loads():
@@ -203,6 +267,19 @@ class TestDemandBound:
         with pytest.raises(ValueError, match="does not fit in int64"):
             evaluate(t, forged, pat)
 
+    def test_total_is_exact_where_an_int64_sum_wraps(self):
+        t = ring(4)
+        # Four demands of 2**62 sum to 0 in int64. The table loops on 1 -> 2,
+        # so the bound must be refused before routing.
+        loop = route_table(t).rows.copy()
+        loop[0, 2], loop[1, 2] = 1, 0
+        forged = RoutingTable(n=4, scheme="x", rows=loop)
+        pat = TrafficPattern(kind="x", flows=tuple((i, (i + 1) % 4, 2**62) for i in range(4)))
+        assert pat.demand.dtype == np.int64
+        assert pat.total_demand == 2**64
+        with pytest.raises(ValueError, match=f"total demand {2**64} times n=4 does not fit in int64"):
+            evaluate(t, forged, pat)
+
 
 class TestEndpointsOutOfRange:
     def test_names_the_first_bad_flow(self):
@@ -332,3 +409,23 @@ def test_pinned_digests(spec):
     rep = evaluate(t, table, pattern_all_to_all(t.n))
     got = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (table.to_json(), rep.to_json(), rep.links_csv()))
     assert got == PINNED[spec]
+
+
+# sha256 of the report's to_json() and links_csv() for 512 * 511 random pairs
+# at seed 800 on the n = 512 oc-high circulant, and of the result object of
+# `circnet traffic torus:8,4 --pattern random:200 --seed 7` (json.dumps with
+# sorted keys), as produced by one random.Random randrange call per endpoint.
+RANDOM_PAIRS_PINNED = (
+    "1526e94d83187cd0d1178c236b7b6ce85c68b126dd39a61c35adbdfc1aa89408",
+    "a6249c98164036cfcc3ba44f4b23905a506bf2e8df44fbe061a6e3ca0ed65833",
+    "067d167ed1fedb5cdfeb85affc329ff7ad31f5d84ed16cdcb56db24c3ee991e8",
+)
+
+
+def test_pinned_random_pairs_digests(capsys):
+    t = parse_spec("circulant:512:1,23,31,119,256")
+    rep = evaluate(t, route_table(t), pattern_random_pairs(512, 512 * 511, 800))
+    assert main(["traffic", "torus:8,4", "--pattern", "random:200", "--seed", "7"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    texts = (rep.to_json(), rep.links_csv(), json.dumps(result, sort_keys=True))
+    assert tuple(hashlib.sha256(s.encode()).hexdigest() for s in texts) == RANDOM_PAIRS_PINNED
