@@ -23,6 +23,8 @@ def main() -> None:
     ap.add_argument("--workers", type=int, default=None)
     ap.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     args = ap.parse_args()
+    if args.restarts < 1:
+        ap.error(f"--restarts must be >= 1, got {args.restarts}")
 
     print(f"{'n':>5} {'k':>3} {'jumps':<24} {'D':>3} {'MPL':>6} {'BW':>5} {'exact':>5} {'s':>7}")
     for n in args.sizes:

@@ -33,6 +33,8 @@ def main() -> None:
         "--max-n", type=int, default=1024, help="largest size to include"
     )
     args = ap.parse_args()
+    if args.restarts < 1:
+        ap.error(f"--restarts must be >= 1, got {args.restarts}")
 
     tables = []
     for n, rows in PROPERTY_TABLE.items():

@@ -16,14 +16,22 @@ table lookups plus one small matrix product per chunk, with whole rows and
 columns skipped when the cuts inside the two halves already reach the best
 cut found (a valid lower bound, so the result equals full enumeration).
 Larger graphs get a restarted multilevel Kernighan-Lin search that only ever
-holds balanced states, over a dense weight matrix so each swap step scores
-its whole candidate window at once; or an externally supplied partition
-whose cut is recomputed, never trusted.
+holds balanced states; or an externally supplied partition whose cut is
+recomputed, never trusted. Each KL step takes the pair `_best_swap` defines:
+the best gain over the top-D windows of both sides, widened until nothing
+outside can beat it. Gain buckets in the manner of Fiduccia and Mattheyses
+find that pair at O(degree) cost per swap: each side's unlocked vertices
+stay sorted by (-D, index) and a swap moves only its endpoints' neighbours.
+Window membership under D ties across the window boundary follows numpy's
+`argpartition`, as in `_window`; the buckets answer directly where a gain
+bound proves the tie cannot matter and call `_window` where it might.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -335,7 +343,8 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
 
 class _WorkGraph:
     """Weighted working form for the partition heuristic: a dense symmetric
-    weight matrix, so a whole window of swap gains is one array expression.
+    weight matrix, and each vertex's neighbours as a {neighbour: weight}
+    dict, built once per level for the O(degree) swap updates.
 
     Finest level carries unit weights; coarser levels aggregate contracted
     edge multiplicities. All vertices of one level have equal cluster size,
@@ -346,6 +355,9 @@ class _WorkGraph:
         self.n = len(weights)
         self.weights = weights
         self.degw = weights.sum(axis=1, dtype=np.int64)
+        self.adj = [
+            dict(zip(np.flatnonzero(row).tolist(), row[row != 0].tolist())) for row in weights
+        ]
 
 
 def _work_graph(t: Topology) -> _WorkGraph:
@@ -355,11 +367,18 @@ def _work_graph(t: Topology) -> _WorkGraph:
     return _WorkGraph(weights)
 
 
+# `rest` of a window that holds every available vertex.
+_NOTHING_LEFT = -(1 << 30)
+
+
 def _window(avail: np.ndarray, D: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """The k vertices of `avail` with the largest D, ordered by (-D, index),
-    and the largest D left outside them (a sentinel when nothing is)."""
+    and the largest D left outside them (a sentinel when nothing is).
+
+    When D ties across the boundary, numpy's `argpartition` decides which
+    of the tied vertices are inside, not their index."""
     if k == len(avail):
-        top, rest = avail, -(1 << 30)
+        top, rest = avail, _NOTHING_LEFT
     else:
         neg = -D[avail]
         part = neg.argpartition(k - 1)
@@ -372,10 +391,14 @@ def _best_swap(
 ) -> tuple[int, int, int] | None:
     """Highest-gain pair u in avail_a, v in avail_b; gain = D[u] + D[v] - 2*w(u, v).
 
-    Candidates come from the top of each side by D; the window widens until
-    the best found provably dominates everything outside it (edge weights
-    only lower the gain). Ties break on the first pair in row-major order
-    over the sorted windows, deterministically.
+    This is the definition the refinement follows; `_GainBuckets.best`
+    returns the same pair and gain at O(degree) cost per swap.
+
+    Candidates come from the top of each side by D (`_window`, so boundary
+    ties follow `argpartition`); the window widens until the best found
+    provably dominates everything outside it (edge weights only lower the
+    gain). Ties break on the first pair in row-major order over the sorted
+    windows, deterministically.
     """
     if len(avail_a) == 0 or len(avail_b) == 0:
         return None
@@ -391,13 +414,134 @@ def _best_swap(
         t_width *= 2
 
 
+def _scan(
+    D: list[int], adj: list[dict[int, int]], rows: list[int], cols: list[int]
+) -> tuple[int, int, int]:
+    """First row-major maximum of D[u] + D[v] - 2 w(u, v) over rows x cols,
+    both ordered by (-D, index). D[u] + D[v] bounds a pair's gain and falls
+    along every row and column, so the scan stops where it cannot be beaten.
+    """
+    best, bu, bv = -math.inf, -1, -1
+    d_col = D[cols[0]]
+    for u in rows:
+        du = D[u]
+        if du + d_col <= best:
+            break
+        wu = adj[u]
+        for v in cols:
+            bound = du + D[v]
+            if bound <= best:
+                break
+            gain = bound - 2 * wu.get(v, 0)
+            if gain > best:
+                best, bu, bv = gain, u, v
+    return bu, bv, best
+
+
+class _GainBuckets:
+    """The unlocked vertices of each side in one KL pass, kept sorted by
+    (-D, index), so that `best` answers `_best_swap` and `swap` costs
+    O(degree) sorted-list moves.
+
+    Each side's list is its D buckets concatenated: key -D * n + v, removed
+    and inserted by bisection. The window of width t is the list's first t
+    entries. That is `_window`'s set unless D ties across the boundary
+    (rest == the t-th D), where `argpartition` may keep other tied members.
+    A pair touching a tied member of side A gains at most rest_A + max D of
+    B (and symmetrically), so when the best gain found beats that bound on
+    every tied side, both windows give the same pair and the same widening
+    decision. Otherwise the tied sides take `_window`'s windows, over numpy
+    copies of D and availability that are brought up to date only then, and
+    the scan is repeated.
+    """
+
+    def __init__(
+        self, g: _WorkGraph, D: np.ndarray, avail_a: np.ndarray, avail_b: np.ndarray
+    ):
+        self.n = n = g.n
+        self.adj = g.adj
+        self.D = D.tolist()
+        self.D_np = D.astype(np.int64)
+        self.avail = [avail_a, avail_b]
+        where = np.full(n, -1)
+        where[avail_a], where[avail_b] = 0, 1
+        self.free = where >= 0
+        self.where = where.tolist()  # side of each unlocked vertex, -1 once locked
+        self.order = [np.sort(-D[a] * n + a).tolist() for a in self.avail]
+        self.dirty: list[int] = []  # vertices whose D changed since the sync
+        self.synced = True
+
+    def _sync(self) -> None:
+        if self.synced:
+            return
+        if self.dirty:
+            self.D_np[self.dirty] = [self.D[v] for v in self.dirty]
+            self.dirty.clear()
+        self.avail = [a[self.free[a]] for a in self.avail]
+        self.synced = True
+
+    def best(self) -> tuple[int, int, int] | None:
+        """`_best_swap`'s (u, v, gain) for the current state."""
+        (order_a, order_b), n = self.order, self.n
+        len_a, len_b = len(order_a), len(order_b)
+        if not len_a or not len_b:
+            return None
+        D, adj = self.D, self.adj
+        top_a, top_b = -(order_a[0] // n), -(order_b[0] // n)
+        t_width = 8
+        while True:
+            ka, kb = min(t_width, len_a), min(t_width, len_b)
+            rest_a = -(order_a[ka] // n) if ka < len_a else _NOTHING_LEFT
+            rest_b = -(order_b[kb] // n) if kb < len_b else _NOTHING_LEFT
+            rows = [key % n for key in order_a[:ka]]
+            cols = [key % n for key in order_b[:kb]]
+            u, v, gain = _scan(D, adj, rows, cols)
+            bound_a, bound_b = rest_a + top_b, top_a + rest_b
+            tied_a, tied_b = rest_a == D[rows[-1]], rest_b == D[cols[-1]]
+            if (tied_a and gain <= bound_a) or (tied_b and gain <= bound_b):
+                self._sync()
+                if tied_a:
+                    rows = _window(self.avail[0], self.D_np, ka)[0].tolist()
+                if tied_b:
+                    cols = _window(self.avail[1], self.D_np, kb)[0].tolist()
+                u, v, gain = _scan(D, adj, rows, cols)
+            if gain >= bound_a and gain >= bound_b:
+                return u, v, gain
+            t_width *= 2
+
+    def swap(self, u: int, v: int) -> None:
+        """Lock u (side A) and v (side B) and move them across: each unlocked
+        neighbour's D changes by 2 w per moved endpoint, up when the endpoint
+        leaves the neighbour's side and down when it joins it."""
+        n, D, where, order = self.n, self.D, self.where, self.order
+        dirty = self.dirty
+        for x, s in ((u, 0), (v, 1)):
+            keys = order[s]
+            del keys[bisect_left(keys, -D[x] * n + x)]
+            where[x] = -1
+            self.free[x] = False
+        for x, up in ((u, 0), (v, 1)):
+            for y, w in self.adj[x].items():
+                s = where[y]
+                if s < 0:
+                    continue
+                keys = order[s]
+                d = D[y]
+                del keys[bisect_left(keys, -d * n + y)]
+                D[y] = d = d + 2 * w if s == up else d - 2 * w
+                insort(keys, -d * n + y)
+                dirty.append(y)
+        self.synced = False
+
+
 def _kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
     """Kernighan-Lin passes until no pass improves; side is refined in place.
 
     Each pass tentatively swaps vertex pairs (allowing negative interim
     gains), then keeps the prefix with the best cumulative gain. A pass is
     abandoned once the prefix maximum has stalled for max(48, n/16) steps;
-    balance is preserved at every step.
+    balance is preserved at every step. Each step takes `_best_swap`'s pair,
+    found by `_GainBuckets` at O(degree) cost per swap.
     """
     n = g.n
     window = max(48, n // 16)
@@ -406,33 +550,22 @@ def _kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
         to_b = g.weights @ side
         ext = np.where(side == 1, g.degw - to_b, to_b)
         cut = int(ext[side == 0].sum())
-        D = 2 * ext - g.degw
-
-        # When x changes side, each neighbor y moves by -2 w(x, y) sign[x]
-        # sign[y], where sign is +1 on side 0 and -1 on side 1.
-        sign = 1 - 2 * side.astype(np.int64)
-        # unlocked vertices of each side: those not yet swapped in this pass
-        avail_a = np.flatnonzero(side == 0)
-        avail_b = np.flatnonzero(side == 1)
+        buckets = _GainBuckets(
+            g, 2 * ext - g.degw, np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+        )
         swaps: list[tuple[int, int]] = []
         running = 0
         best_prefix = 0
         best_at = -1
         stall = 0
         for step in range(n // 2):
-            pick = _best_swap(g, D, avail_a, avail_b)
+            pick = buckets.best()
             if pick is None:
                 break
             u, v, gain = pick
             swaps.append((u, v))
+            buckets.swap(u, v)
             running += gain
-            for x in (u, v):
-                side[x] ^= 1
-                sign[x] = -sign[x]
-                D -= 2 * sign[x] * (g.weights[x] * sign)
-                D[x] = -D[x]
-            avail_a = avail_a[avail_a != u]
-            avail_b = avail_b[avail_b != v]
             if running > best_prefix:
                 best_prefix = running
                 best_at = step
@@ -442,14 +575,10 @@ def _kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
                 if stall > window:
                     break
 
-        if not swaps:
-            return cut
-        keep = best_at + 1 if best_prefix > 0 else 0
-        for u, v in reversed(swaps[keep:]):
-            side[u] ^= 1
-            side[v] ^= 1
         if best_prefix <= 0:
             return cut
+        # keep the swaps up to the best prefix; the later ones stay undone
+        side[np.array(swaps[: best_at + 1]).ravel()] ^= 1
 
 
 def _contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, np.ndarray]:

@@ -1,16 +1,20 @@
-"""Pure-Python reference implementations of the traffic patterns, the routing
-tables and flow evaluation, kept only for tests to compare the array code
-against.
+"""Reference implementations of the traffic patterns, the routing tables,
+flow evaluation and Kernighan-Lin refinement, kept only for tests to compare
+the faster code against.
 
 The pattern builders make one tuple per flow, random pairs by one
 `randrange` call per endpoint; the table builders fill one Python list per
-source vertex; and `evaluate` routes one flow at a time along its path,
-adding each hop's demand to a dict.
+source vertex; `evaluate` routes one flow at a time along its path, adding
+each hop's demand to a dict; and `kl_refine` calls the dense `_best_swap`
+on every step and updates D by a whole weight-matrix row per moved vertex.
 """
 
 import random
 from fractions import Fraction
 
+import numpy as np
+
+from circnet.metrics import _best_swap, _WorkGraph
 from circnet.routing import _first_hops_from_zero
 from circnet.topology import Topology, mixed_radix
 from circnet.traffic import LoadReport, TrafficPattern
@@ -108,3 +112,64 @@ def evaluate(t: Topology, rows, pattern: TrafficPattern) -> LoadReport:
         total_demand=total_demand,
         weighted_hops=weighted_hops,
     )
+
+
+def kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
+    """Kernighan-Lin passes until no pass improves; side is refined in place.
+
+    Each pass tentatively swaps vertex pairs (allowing negative interim
+    gains), then keeps the prefix with the best cumulative gain. A pass is
+    abandoned once the prefix maximum has stalled for max(48, n/16) steps;
+    balance is preserved at every step.
+    """
+    n = g.n
+    window = max(48, n // 16)
+    while True:
+        # ext[v]: weight from v to the other side
+        to_b = g.weights @ side
+        ext = np.where(side == 1, g.degw - to_b, to_b)
+        cut = int(ext[side == 0].sum())
+        D = 2 * ext - g.degw
+
+        # When x changes side, each neighbor y moves by -2 w(x, y) sign[x]
+        # sign[y], where sign is +1 on side 0 and -1 on side 1.
+        sign = 1 - 2 * side.astype(np.int64)
+        # unlocked vertices of each side: those not yet swapped in this pass
+        avail_a = np.flatnonzero(side == 0)
+        avail_b = np.flatnonzero(side == 1)
+        swaps: list[tuple[int, int]] = []
+        running = 0
+        best_prefix = 0
+        best_at = -1
+        stall = 0
+        for step in range(n // 2):
+            pick = _best_swap(g, D, avail_a, avail_b)
+            if pick is None:
+                break
+            u, v, gain = pick
+            swaps.append((u, v))
+            running += gain
+            for x in (u, v):
+                side[x] ^= 1
+                sign[x] = -sign[x]
+                D -= 2 * sign[x] * (g.weights[x] * sign)
+                D[x] = -D[x]
+            avail_a = avail_a[avail_a != u]
+            avail_b = avail_b[avail_b != v]
+            if running > best_prefix:
+                best_prefix = running
+                best_at = step
+                stall = 0
+            else:
+                stall += 1
+                if stall > window:
+                    break
+
+        if not swaps:
+            return cut
+        keep = best_at + 1 if best_prefix > 0 else 0
+        for u, v in reversed(swaps[keep:]):
+            side[u] ^= 1
+            side[v] ^= 1
+        if best_prefix <= 0:
+            return cut

@@ -28,6 +28,14 @@ SIDE_SHA256 = {
     ("torus:8,8,4", 7): "bee9c8741f8bd0666cc672fb112f7c3668b71e8e122c60838e3577543f831f54",
 }
 
+# int8 side of _best_balanced_side(t, restarts, seed) at sizes where D ties
+# across the swap window's boundary often decide the pair: with index order
+# in place of argpartition there, both sides change.
+TIE_SIDE_SHA256 = {
+    ("circulant:512:1,15,56,149", 2, 0): "493914d5d3a25473b2b1c26339c7ae14504769e13a051cb3750f043f2da69248",
+    ("circulant:1024:1,144,258,276", 2, 0): "e95c2aec2c08b0b20aa322cb8a05bdb1246715a7c9f23a384aa04f3a0a838944",
+}
+
 
 @pytest.mark.parametrize("n, k", sorted(RESULTS_SHA256))
 def test_results_file_digest(n, k, tmp_path):
@@ -42,3 +50,9 @@ def test_bisection_side_digest(spec, seed):
     _, side = _best_balanced_side(parse_spec(spec), 16, seed)
     assert side.dtype == np.int8
     assert hashlib.sha256(side.tobytes()).hexdigest() == SIDE_SHA256[(spec, seed)]
+
+
+@pytest.mark.parametrize("spec, restarts, seed", sorted(TIE_SIDE_SHA256))
+def test_tie_sensitive_side_digest(spec, restarts, seed):
+    _, side = _best_balanced_side(parse_spec(spec), restarts, seed)
+    assert hashlib.sha256(side.tobytes()).hexdigest() == TIE_SIDE_SHA256[(spec, restarts, seed)]

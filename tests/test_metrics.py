@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import oracles
 from circnet.metrics import (
     BisectionInfeasibleError,
     DisconnectedError,
@@ -28,8 +29,11 @@ from circnet.metrics import (
     cut_size,
     diameter_mpl,
     parse_partition,
+    _GainBuckets,
     _WorkGraph,
     _best_swap,
+    _kl_refine,
+    _window,
 )
 from circnet.topology import (
     JumpSet,
@@ -358,6 +362,104 @@ class TestBestSwap:
         else:
             u, v, gain = _best_swap(g, D, x, y)
         assert gain == 5 and v == 20 and 8 <= u < 20
+
+
+def _work_state(n, wseed, d, status):
+    """An st_work_graph draw as (graph, D, avail_a, avail_b): status 0 and 1
+    are the unlocked vertices of side A and side B, 2 is locked."""
+    rnd = random.Random(wseed)
+    w = [rnd.choice((0, 0, 1, 2, 3)) for _ in range(n * n)]
+    weights = np.triu(np.array(w, dtype=np.int32).reshape(n, n), 1)
+    status = np.array(status)
+    return (
+        _WorkGraph(weights + weights.T),
+        np.array(d, dtype=np.int64),
+        np.flatnonzero(status == 0),
+        np.flatnonzero(status == 1),
+    )
+
+
+class TestGainBuckets:
+    @given(st_work_graph)
+    @settings(max_examples=150)
+    # draws where an index-order window picks another pair than _best_swap
+    @example((
+        26, 7272,
+        [0, 1, 2, 3, -2, -2, 1, 2, 1, 2, -3, 2, 2, 1, 2, 0, -3, 2, -1, 3, 2, 3, 3, -1, -3, 0],
+        [2, 1, 2, 1, 2, 2, 0, 1, 1, 1, 0, 0, 1, 1, 1, 2, 2, 1, 0, 2, 1, 1, 1, 2, 1, 2],
+    ))
+    @example((
+        36, 6994,
+        [1, -3, -2, 0, 0, 0, -2, 2, 1, 1, -1, 3, 1, 0, -3, 1, 1, 3,
+         -2, -3, 1, -3, 2, 1, 1, 1, 1, -2, -1, 1, 2, 0, -3, -3, 3, -2],
+        [0, 0, 0, 2, 1, 2, 2, 1, 0, 1, 2, 1, 0, 2, 1, 2, 0, 1,
+         0, 0, 2, 1, 1, 0, 1, 2, 1, 1, 1, 1, 1, 2, 0, 0, 0, 2],
+    ))
+    def test_picks_best_swap_pair_through_a_swap_sequence(self, params):
+        # After each pick, u and v are locked and every unlocked vertex's D
+        # moves as the dense update moves it; the next pick must still be
+        # _best_swap's.
+        g, D, avail_a, avail_b = _work_state(*params)
+        buckets = _GainBuckets(g, D, avail_a, avail_b)
+        sign = np.zeros(g.n, dtype=np.int64)
+        sign[avail_a], sign[avail_b] = 1, -1
+        while True:
+            pick = buckets.best()
+            assert pick == _best_swap(g, D, avail_a, avail_b)
+            if pick is None:
+                return
+            u, v, _ = pick
+            buckets.swap(u, v)
+            D = D + 2 * sign * (g.weights[u] - g.weights[v])
+            avail_a, avail_b = avail_a[avail_a != u], avail_b[avail_b != v]
+
+    def test_boundary_tie_follows_argpartition(self):
+        # Side A is vertices 0-8 with D = 0, 0, 0, 0, 0, 0, 1, 1, 1; the
+        # width-8 window holds all but one of the six D = 0 vertices. By
+        # index that leaves out 5, but argpartition leaves out 4. Every A
+        # vertex except 4 and 5 is joined to B's only vertex 9, so the pair
+        # is (5, 9) where an index-order window would give (4, 9).
+        D = np.array([0] * 6 + [1] * 3 + [0], dtype=np.int64)
+        weights = np.zeros((10, 10), dtype=np.int32)
+        weights[[0, 1, 2, 3, 6, 7, 8], 9] = weights[9, [0, 1, 2, 3, 6, 7, 8]] = 1
+        g = _WorkGraph(weights)
+        avail_a, avail_b = np.arange(9), np.array([9])
+        by_index = avail_a[np.lexsort((avail_a, -D[avail_a]))][:8]
+        top, rest = _window(avail_a, D, 8)
+        assert rest == D[top[-1]] == 0
+        assert 4 in by_index and 5 not in by_index
+        assert 5 in top and 4 not in top
+        assert _best_swap(g, D, avail_a, avail_b) == (5, 9, 0)
+        assert _GainBuckets(g, D, avail_a, avail_b).best() == (5, 9, 0)
+
+
+# A symmetric graph with weights 0-3 and a balanced side. Each graph draws
+# one weight palette and density, so the uniform dense ones tie on D almost
+# everywhere and widen their windows past 8.
+st_refine_case = st.tuples(
+    st.integers(1, 40).map(lambda h: 2 * h),
+    st.sampled_from([(1,), (2,), (3,), (1, 2, 3), (0, 1, 2, 3)]),
+    st.sampled_from([0.05, 0.2, 0.5, 0.9, 1.0]),
+    st.integers(0, 10_000),
+)
+
+
+class TestKlRefine:
+    @given(st_refine_case)
+    # cases whose side changes when windows break boundary ties by index
+    @example((60, (3,), 0.9, 9058))
+    @example((70, (1,), 0.9, 2814))
+    def test_matches_dense_refinement(self, case):
+        n, palette, density, seed = case
+        rnd = random.Random(seed)
+        w = [rnd.choice(palette) if rnd.random() < density else 0 for _ in range(n * n)]
+        weights = np.triu(np.array(w, dtype=np.int32).reshape(n, n), 1)
+        g = _WorkGraph(weights + weights.T)
+        side = np.ones(n, dtype=np.int8)
+        side[rnd.sample(range(n), n // 2)] = 0
+        expected = side.copy()
+        assert _kl_refine(g, side) == oracles.kl_refine(g, expected)
+        assert side.tobytes() == expected.tobytes()
 
 
 class TestBisectionHeuristic:
