@@ -128,12 +128,12 @@ def parse_pattern(t: Topology, pattern: str, seed: int) -> traffic_mod.TrafficPa
     raise SpecError(f"unknown pattern kind {head!r}")
 
 
-def _emit(payload: dict, out: Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out is None:
-        print(text)
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file `out`, or to stdout when no file is named."""
+    if out:
+        Path(out).write_text(text)
     else:
-        out.write_text(text + "\n")
+        print(text, end="")
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -199,7 +199,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         "result": m.to_dict(),
         "timing": {"wall_s": time.perf_counter() - t0},
     }
-    _emit(payload, Path(args.out) if args.out else None)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -244,17 +244,13 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         "result": rep.to_dict(),
         "timing": {"wall_s": time.perf_counter() - t0},
     }
-    _emit(payload, Path(args.out) if args.out else None)
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     t = parse_spec(args.spec)
-    text = t.edge_list_text()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
+    _write(t.edge_list_text(), args.out)
     if args.descriptor:
         print(json.dumps(t.descriptor(), sort_keys=True), file=sys.stderr)
     return EXIT_OK
@@ -262,12 +258,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_route(args: argparse.Namespace) -> int:
     t = parse_spec(args.spec)
-    table = route_table(t)
-    text = table.to_json()
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write(route_table(t).to_json() + "\n", args.out)
     return EXIT_OK
 
 

@@ -260,10 +260,11 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
 
     Branch-and-bound, exact: the cuts inside each half, cin(L) and cin(H),
     are disjoint edge sets that both cross A, so cut(A) >= cin(L) + cin(H).
-    Rows L are visited in ascending cin(L); a group stops at the first row
-    whose bound against its remaining columns reaches the best cut found so
-    far, and columns are dropped the same way. Only pairs whose bound is
-    >= the best are skipped, so the result equals full enumeration.
+    The best starts above any cut. Rows L are visited in ascending cin(L);
+    a group stops at the first row whose bound against its remaining columns
+    reaches the best cut found so far, and columns are dropped the same way.
+    Only pairs whose bound is >= the best are skipped, so the result equals
+    full enumeration.
     """
     n = t.n
     if n % 2:
@@ -303,20 +304,16 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
         out[half + 1] = base_hi[cols]
         return out
 
-    # Groups by |L|, rows sorted by cin. The lowest-bound pair of each group
-    # is a real bipartition, so the best of those seeds the search.
+    # Groups by |L|, rows sorted by cin, bounded by their lowest cin pair.
     masks = np.arange(1 << half, dtype=np.int64)
     pop = np.bitwise_count(masks)
     groups = []
-    seeds = []
     for size in range(1, half + 1):
         rows = np.flatnonzero((pop == size) & ((masks & 1) == 1))
         rows = rows[np.argsort(cin_lo[rows], kind="stable")]
         cols = np.flatnonzero(pop == half - size)
-        col = cols[np.argmin(cin_hi[cols])]
-        seeds.append(int((lhs(rows[:1]) @ rhs(np.array([col])))[0, 0]))
-        groups.append((int(cin_lo[rows[0]] + cin_hi[col]), rows, cols))
-    best = min(seeds)
+        groups.append((int(cin_lo[rows[0]] + cin_hi[cols].min()), rows, cols))
+    best = n * n  # above any cut, so the first block sets a real one
 
     for bound, rows, cols in sorted(groups, key=lambda g: g[0]):
         if bound >= best:
@@ -344,7 +341,7 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
 class _WorkGraph:
     """Weighted working form for the partition heuristic: a dense symmetric
     weight matrix, and each vertex's neighbours as a {neighbour: weight}
-    dict, built once per level for the O(degree) swap updates.
+    dict, built once per level for the O(degree) swap updates and mate picks.
 
     Finest level carries unit weights; coarser levels aggregate contracted
     edge multiplicities. All vertices of one level have equal cluster size,
@@ -585,6 +582,7 @@ def _contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, np.ndarray
     """Pair every vertex with a mate (heaviest unmatched neighbor first, then
     leftovers pair among themselves) and merge pairs into a half-size graph.
 
+    Mates come from the {neighbor: weight} dicts, O(degree) per vertex.
     Returns the coarse graph and the cluster map: cid[v] is v's coarse
     vertex, numbered by each pair's first appearance in the shuffled order,
     so a coarse side projects back as side[cid]. Pairing everything keeps
@@ -594,14 +592,16 @@ def _contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, np.ndarray
     n = g.n
     order = list(range(n))
     rng.shuffle(order)
-    mate = np.full(n, -1)
+    mate = [-1] * n
     for u in order:
         if mate[u] != -1:
             continue
-        # heaviest unmatched neighbor, the smallest index among equals
-        row = np.where(mate == -1, g.weights[u], 0)
-        v = int(row.argmax())
-        if row[v] > 0:
+        # heaviest unmatched neighbor, the smallest index among equals (adj is in index order)
+        v, heaviest = -1, 0
+        for w, weight in g.adj[u].items():
+            if weight > heaviest and mate[w] == -1:
+                v, heaviest = w, weight
+        if v != -1:
             mate[u] = v
             mate[v] = u
     singles = [u for u in order if mate[u] == -1]
@@ -610,7 +610,7 @@ def _contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, np.ndarray
         mate[b] = a
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    cid = np.unique(np.minimum(pos, pos[mate]), return_inverse=True)[1]
+    cid = np.unique(np.minimum(pos, pos[np.array(mate)]), return_inverse=True)[1]
     a, b = np.argsort(cid, kind="stable").reshape(-1, 2).T  # each cluster's members
     rows = g.weights[a] + g.weights[b]
     coarse = rows[:, a] + rows[:, b]

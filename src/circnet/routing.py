@@ -40,7 +40,14 @@ class RoutingTable:
         object.__setattr__(self, "rows", rows)
 
     def next_hop(self, s: int, d: int) -> int:
+        """The neighbor of s toward d; ValueError for a vertex outside [0, n)."""
+        self._check(s, d)
         return int(self.rows[s, d])
+
+    def _check(self, *vertices: int) -> None:
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise ValueError(f"vertex {v} outside [0, {self.n})")
 
     def to_dict(self) -> dict:
         return {"scheme": self.scheme, "n": self.n, "rows": self.rows.tolist()}
@@ -115,7 +122,8 @@ def route_table(t: Topology) -> RoutingTable:
 
 
 def path(table: RoutingTable, s: int, d: int) -> list[int]:
-    """Full vertex sequence from s to d; [s] when s == d."""
+    """Full vertex sequence from s to d, [s] when s == d; ValueError outside [0, n)."""
+    table._check(s, d)
     seq = [s]
     cur = s
     while cur != d:

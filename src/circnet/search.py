@@ -17,7 +17,8 @@ the configured limit, Kernighan-Lin above, none for odd n). Only the
 maximum-width ties are returned.
 
 Hot path: every candidate goes through the one circulant BFS kernel,
-`metrics.circulant_distance_profile`, bounded by the running best. The
+`metrics.circulant_distance_profile`, bounded by the running best; it is
+also the only connectivity test (a disconnected set returns None). The
 kernel abandons a candidate before the level that proves it worse, and the
 test is strict, so every tie is measured in full. Only the amount of pruning
 depends on the running best, never which jump sets are kept, which is why
@@ -39,7 +40,6 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from math import gcd
 from pathlib import Path
 
 from .combinatorics import successor_inplace, unrank_elements
@@ -173,10 +173,10 @@ class _RangeState:
 def _scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _RangeState:
     """Advance a range's running best over co-lex ranks [st.cursor, end).
 
-    Hot path: each connected candidate goes through
-    `circulant_distance_profile` with the running best as its bound, so it
-    returns a profile only for a new best or a tie, and the jump set is only
-    materialized as a sorted tuple then.
+    Hot path: each candidate goes through `circulant_distance_profile` with
+    the running best as its bound, which is also the one connectivity test:
+    it returns a profile only for a new best or a tie, never for a
+    disconnected jump set, and only then is the jump set made a sorted tuple.
     """
     t0 = time.perf_counter()
     start = st.cursor
@@ -184,20 +184,18 @@ def _scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _Rang
         return st
     fixed, lo, hi = plan.fixed, plan.lo, plan.hi
     elems = unrank_elements(start, lo, hi, plan.r)
-    need_gcd = 1 not in fixed
     bound = None if st.best_d is None else (st.best_d, st.best_s)
     out = list(st.candidates)
     idx = start
     while True:
         jumps = fixed + tuple(elems)
-        if not need_gcd or gcd(n, *jumps) == 1:
-            profile = circulant_distance_profile(n, jumps, bound)
-            if profile is not None:
-                if profile == bound:
-                    out.append(tuple(sorted(jumps)))
-                else:
-                    bound = profile
-                    out = [tuple(sorted(jumps))]
+        profile = circulant_distance_profile(n, jumps, bound)
+        if profile is not None:
+            if profile == bound:
+                out.append(tuple(sorted(jumps)))
+            else:
+                bound = profile
+                out = [tuple(sorted(jumps))]
         idx += 1
         if idx >= end:
             break

@@ -50,8 +50,8 @@ class TrafficPattern:
     demand) integer triples. The arrays are int64 when every value fits, and
     object arrays of Python ints otherwise (`evaluate` refuses such a pattern
     before routing: a demand that large breaks the int64 bound and an endpoint
-    that large is out of range). A flow with equal endpoints or a
-    non-positive demand raises ValueError naming the first such flow.
+    that large is out of range). No flows, or a flow with equal endpoints or
+    a non-positive demand, raises ValueError naming the first such flow.
     """
 
     def __init__(self, kind: str, flows) -> None:
@@ -71,6 +71,8 @@ class TrafficPattern:
         return pattern
 
     def _store(self, kind, src, dst, demand, flows) -> None:
+        if not len(src):
+            raise ValueError("a pattern needs at least one flow")
         bad = (src == dst) | (demand <= 0)
         if bad.any():
             i = int(bad.argmax())
@@ -272,14 +274,14 @@ def evaluate(t: Topology, table: RoutingTable, pattern: TrafficPattern) -> LoadR
     u, v = np.divmod(links, n)
     loads = dict(zip(zip(u.tolist(), v.tolist()), acc[links].tolist()))
     weighted_hops = int(acc.sum())
-    directed_links = sum(len(nbrs) for nbrs in t.adjacency)
-    max_load = max(loads.values(), default=0)
+    # every flow takes at least one hop, so some link carries load
+    max_load = max(loads.values())
     return LoadReport(
         loads=loads,
         max_load=max_load,
-        mean_load=Fraction(weighted_hops, directed_links),
+        mean_load=Fraction(weighted_hops, 2 * t.num_edges),
         mean_hops=Fraction(weighted_hops, total_demand),
-        eb_proxy=Fraction(total_demand, max_load) if max_load else Fraction(0),
+        eb_proxy=Fraction(total_demand, max_load),
         total_demand=total_demand,
         weighted_hops=weighted_hops,
     )

@@ -5,8 +5,9 @@ the faster code against.
 The pattern builders make one tuple per flow, random pairs by one
 `randrange` call per endpoint; the table builders fill one Python list per
 source vertex; `evaluate` routes one flow at a time along its path, adding
-each hop's demand to a dict; and `kl_refine` calls the dense `_best_swap`
-on every step and updates D by a whole weight-matrix row per moved vertex.
+each hop's demand to a dict; `kl_refine` calls the dense `_best_swap`
+on every step and updates D by a whole weight-matrix row per moved vertex;
+and `contract` picks each mate by scanning a masked dense weight row.
 """
 
 import random
@@ -173,3 +174,34 @@ def kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
             side[v] ^= 1
         if best_prefix <= 0:
             return cut
+
+
+def contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, np.ndarray]:
+    """Pair every vertex with a mate (heaviest unmatched neighbor first, then
+    leftovers pair among themselves) and merge pairs into a half-size graph;
+    returns the coarse graph and the vertex-to-cluster map."""
+    n = g.n
+    order = list(range(n))
+    rng.shuffle(order)
+    mate = np.full(n, -1)
+    for u in order:
+        if mate[u] != -1:
+            continue
+        # heaviest unmatched neighbor, the smallest index among equals
+        row = np.where(mate == -1, g.weights[u], 0)
+        v = int(row.argmax())
+        if row[v] > 0:
+            mate[u] = v
+            mate[v] = u
+    singles = [u for u in order if mate[u] == -1]
+    for a, b in zip(singles[::2], singles[1::2]):
+        mate[a] = b
+        mate[b] = a
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    cid = np.unique(np.minimum(pos, pos[mate]), return_inverse=True)[1]
+    a, b = np.argsort(cid, kind="stable").reshape(-1, 2).T  # each cluster's members
+    rows = g.weights[a] + g.weights[b]
+    coarse = rows[:, a] + rows[:, b]
+    np.fill_diagonal(coarse, 0)  # edges inside a pair vanish
+    return _WorkGraph(coarse), cid

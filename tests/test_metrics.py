@@ -32,6 +32,7 @@ from circnet.metrics import (
     _GainBuckets,
     _WorkGraph,
     _best_swap,
+    _contract,
     _kl_refine,
     _window,
 )
@@ -460,6 +461,26 @@ class TestKlRefine:
         expected = side.copy()
         assert _kl_refine(g, side) == oracles.kl_refine(g, expected)
         assert side.tobytes() == expected.tobytes()
+
+
+class TestContract:
+    @given(st_refine_case, st.integers(0, 10_000))
+    @settings(max_examples=150)
+    def test_matches_dense_row_matching(self, case, rng_seed):
+        # Few weight values, so the heaviest-neighbor choice ties often;
+        # contracting twice also covers coarse weights above the palette.
+        n, palette, density, seed = case
+        rnd = random.Random(seed)
+        w = [rnd.choice(palette) if rnd.random() < density else 0 for _ in range(n * n)]
+        weights = np.triu(np.array(w, dtype=np.int32).reshape(n, n), 1)
+        g = expected = _WorkGraph(weights + weights.T)
+        rng, rng_expected = random.Random(rng_seed), random.Random(rng_seed)
+        while g.n % 2 == 0 and g.n > 1:
+            g, cid = _contract(g, rng)
+            expected, cid_expected = oracles.contract(expected, rng_expected)
+            assert cid.tolist() == cid_expected.tolist()
+            assert np.array_equal(g.weights, expected.weights)
+            assert g.adj == expected.adj
 
 
 class TestBisectionHeuristic:

@@ -130,6 +130,16 @@ class TestPath:
         table = circulant_routes(ring(8))
         assert path(table, 3, 3) == [3]
 
+    @pytest.mark.parametrize("s, d, bad", [(-1, 3, -1), (0, 8, 8), (8, 8, 8), (3, -8, -8)])
+    def test_path_refuses_vertices_outside_the_table(self, s, d, bad):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} outside \[0, 8\)$"):
+            path(circulant_routes(ring(8)), s, d)
+
+    @pytest.mark.parametrize("s, d, bad", [(-2, 0, -2), (0, -1, -1), (8, 0, 8), (0, 9, 9)])
+    def test_next_hop_refuses_vertices_outside_the_table(self, s, d, bad):
+        with pytest.raises(ValueError, match=rf"^vertex {bad} outside \[0, 8\)$"):
+            circulant_routes(ring(8)).next_hop(s, d)
+
     def test_route_table_dispatch(self):
         assert route_table(torus([4, 4])).scheme == "dimension-order"
         assert route_table(ring(5)).scheme == "vertex-symmetric"

@@ -5,7 +5,7 @@ import math
 from collections import deque
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from circnet.topology import (
     InfeasibleDegreeError,
@@ -264,6 +264,29 @@ class TestCartesianProduct:
             assert len(diff) == 1
             p = diff[0]
             assert coords[v][p] in (a, b)[p].adjacency[coords[u][p]]
+
+
+st_jump_set = st.integers(2, 200).flatmap(
+    lambda n: st.lists(st.integers(1, n // 2), min_size=1, max_size=5, unique=True).map(
+        lambda jumps: JumpSet(n, tuple(jumps))
+    )
+)
+
+
+class TestCirculantAdjacency:
+    @given(st_jump_set)
+    @settings(max_examples=300)
+    def test_rows_follow_the_definition(self, js):
+        n = js.n
+        t = circulant(js)
+        for i in range(n):
+            expected = sorted({(i + s) % n for s in js.jumps} | {(i - s) % n for s in js.jumps})
+            assert t.adjacency[i] == tuple(expected)
+        assert t.degree == js.degree
+
+    def test_single_vertex(self):
+        t = circulant(JumpSet(1, ()))
+        assert t.adjacency == ((),)
 
 
 class TestExports:

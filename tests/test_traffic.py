@@ -60,6 +60,10 @@ class TestPatterns:
         with pytest.raises(ValueError):
             pattern_ring_shift(8, 8)
 
+    def test_empty_pattern_is_refused(self):
+        with pytest.raises(ValueError, match="at least one flow"):
+            evaluate(ring(4), route_table(ring(4)), TrafficPattern("x", []))
+
     @pytest.mark.parametrize(
         "flows, message",
         [
