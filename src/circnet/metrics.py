@@ -112,14 +112,12 @@ class MetricsRecord:
 def bfs_distances(t: Topology, source: int) -> list[int]:
     """Hop distances from source; unreached vertices are marked -1.
 
-    The visited set is a packed bit integer, membership and insertion are
-    single shift/mask operations. Callers detect disconnection by the -1
-    markers (the reachable set is exactly the non-negative entries).
+    The distance list is the visited set: a vertex is reached once its entry
+    is non-negative. Callers detect disconnection by the -1 markers (the
+    reachable set is exactly the non-negative entries).
     """
-    n = t.n
-    dist = [-1] * n
+    dist = [-1] * t.n
     dist[source] = 0
-    visited = 1 << source
     frontier = [source]
     adj = t.adjacency
     d = 0
@@ -128,8 +126,7 @@ def bfs_distances(t: Topology, source: int) -> list[int]:
         nxt = []
         for u in frontier:
             for w in adj[u]:
-                if not (visited >> w) & 1:
-                    visited |= 1 << w
+                if dist[w] < 0:
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
@@ -264,17 +261,17 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
     a group stops at the first row whose bound against its remaining columns
     reaches the best cut found so far, and columns are dropped the same way.
     Only pairs whose bound is >= the best are skipped, so the result equals
-    full enumeration.
+    full enumeration. Odd n raises BisectionInfeasibleError, and even n that
+    `bisection_method` does not call "exact" raises ExactLimitError.
     """
     n = t.n
     if n % 2:
         raise BisectionInfeasibleError(f"strict balance impossible for odd n={n}")
-    if n > limit:
+    if bisection_method(n, limit) != "exact":
         raise ExactLimitError(
-            f"n={n} exceeds the exact-enumeration limit {limit}; use bisection_heuristic"
+            f"n={n} exceeds the exact-enumeration limit {min(limit, _EXACT_HARD_CAP)};"
+            " use bisection_heuristic"
         )
-    if n > _EXACT_HARD_CAP:
-        raise ExactLimitError(f"exact enumeration capped at n={_EXACT_HARD_CAP}")
 
     half = n // 2
     cin_lo, base_lo = _half_tables(t, 0, half)

@@ -4,9 +4,9 @@ and Cartesian products.
 Every topology is an immutable undirected graph held as sorted per-vertex
 neighbor lists, tagged with enough structure (jump set, product factors,
 vertex symmetry) for the metrics, routing, and search layers to pick their
-fast paths. Product vertices are indexed row-major: (u, v) -> u * n_b + v,
-so iterated products flatten to mixed-radix coordinates with the leftmost
-factor most significant.
+fast paths. Products are built in one pass over their leaf factors, indexed
+row-major by `mixed_radix` digits ((u, v) -> u * n_b + v for two factors),
+with the leftmost leaf most significant.
 """
 
 from __future__ import annotations
@@ -115,9 +115,13 @@ class Topology:
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]], kind: str = "custom") -> Topology:
-    """Build a topology from an undirected edge list (`Topology` refuses self-loops)."""
+    """Build a topology from an undirected edge list; an endpoint outside
+    [0, n) raises ValueError naming it (`Topology` refuses self-loops)."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise ValueError(f"edge endpoint {x} outside [0, {n})")
         nbrs[u].add(v)
         nbrs[v].add(u)
     adjacency = tuple(tuple(sorted(s)) for s in nbrs)
@@ -246,23 +250,10 @@ def complete(m: int) -> Topology:
 
 
 def cartesian_product(a: Topology, b: Topology) -> Topology:
-    """Cartesian product with vertex (u, v) indexed as u * b.n + v."""
-    nb = b.n
-    adjacency = []
-    for u in range(a.n):
-        for v in range(nb):
-            row = [w * nb + v for w in a.adjacency[u]]
-            row += [u * nb + w for w in b.adjacency[v]]
-            adjacency.append(tuple(sorted(row)))
-    factors = (a.factors or (a,)) + (b.factors or (b,))
-    return Topology(
-        n=a.n * nb,
-        adjacency=tuple(adjacency),
-        kind="product",
-        params={"factors": [a.descriptor(), b.descriptor()]},
-        factors=factors,
-        vertex_symmetric=a.vertex_symmetric and b.vertex_symmetric,
-    )
+    """Cartesian product over the leaves of both operands; vertex (u, v) is
+    u * b.n + v."""
+    leaves = (a.factors or (a,)) + (b.factors or (b,))
+    return _product(leaves, "product", {"factors": [a.descriptor(), b.descriptor()]})
 
 
 def mixed_radix(sizes: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -279,35 +270,43 @@ def mixed_radix(sizes: Sequence[int]) -> tuple[list[int], list[tuple[int, ...]]]
     return weights, coords
 
 
+def _product(leaves: Sequence[Topology], kind: str, params: dict[str, Any]) -> Topology:
+    """Cartesian product of `leaves` indexed by `mixed_radix`: vertex v with
+    digit c in leaf p is adjacent to v + (w - c) * weights[p] for each
+    neighbour w of c in that leaf. A single leaf keeps its jump set."""
+    weights, coords = mixed_radix([f.n for f in leaves])
+    offsets = [
+        [[(w - c) * wp for w in f.adjacency[c]] for c in range(f.n)]
+        for f, wp in zip(leaves, weights)
+    ]
+    adjacency = tuple(
+        tuple(sorted(v + o for leaf, c in zip(offsets, digits) for o in leaf[c]))
+        for v, digits in enumerate(coords)
+    )
+    return Topology(
+        n=len(coords),
+        adjacency=adjacency,
+        kind=kind,
+        params=params,
+        jumps=leaves[0].jumps if len(leaves) == 1 else None,
+        factors=tuple(leaves),
+        vertex_symmetric=all(f.vertex_symmetric for f in leaves),
+    )
+
+
 def torus(dims: Iterable[int]) -> Topology:
-    """Iterated Cartesian product of rings, largest-first order preserved."""
+    """Cartesian product of rings, largest-first order preserved."""
     dims = list(dims)
     if not dims:
         raise ValueError("torus needs at least one dimension")
     for d in dims:
         if d < 3:
             raise ValueError(f"torus dimensions must be >= 3, got {d}")
-    t = ring(dims[0])
-    for d in dims[1:]:
-        t = cartesian_product(t, ring(d))
-    return replace(
-        t,
-        kind="torus",
-        params={"dims": dims},
-        factors=t.factors or (t,),
-    )
+    return _product([ring(d) for d in dims], "torus", {"dims": dims})
 
 
 def hypercube(d: int) -> Topology:
-    """d-fold Cartesian product of single edges; 2**d vertices of degree d."""
+    """Cartesian product of d single edges; 2**d vertices of degree d."""
     if d < 1:
         raise ValueError(f"hypercube dimension must be >= 1, got {d}")
-    t = complete(2)
-    for _ in range(d - 1):
-        t = cartesian_product(t, complete(2))
-    return replace(
-        t,
-        kind="hypercube",
-        params={"d": d},
-        factors=t.factors or (t,),
-    )
+    return _product([complete(2) for _ in range(d)], "hypercube", {"d": d})

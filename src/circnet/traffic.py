@@ -1,14 +1,13 @@
 """Flow-level traffic evaluation.
 
-A pattern is a sequence of (source, destination, demand) flows, stored as
-three read-only int64 arrays `src`, `dst` and `demand` (24 bytes per flow);
-the tuple-of-tuples `flows` view is built only when asked for. Evaluation
-pushes each flow's demand along its single routed path and aggregates per
-directed link. Max link load is the static congestion figure, and aggregate
-demand divided by max load serves as an effective-bandwidth style comparison
-number (in units of one link's bandwidth). Everything is exact
-integer/rational arithmetic, so conservation and the all-to-all mean-hops ==
-MPL identity hold to full precision.
+A pattern is a sequence of (source, destination, demand) flows, stored only
+as three read-only int64 arrays `src`, `dst` and `demand` (24 bytes per flow)
+from which `flows` builds tuples on each access. Evaluation pushes each flow's
+demand along its single routed path and aggregates per directed link. Max
+link load is the static congestion figure, and aggregate demand divided by
+max load serves as an effective-bandwidth style comparison number (in units
+of one link's bandwidth). Everything is exact integer/rational arithmetic, so
+conservation and the all-to-all mean-hops == MPL identity hold exactly.
 
 The builders fill the arrays with numpy. Random pairs reproduce, draw for
 draw, the per-pair `randrange` calls of `random.Random(seed)`: numpy's
@@ -28,6 +27,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 import numpy as np
 
@@ -44,33 +44,37 @@ WORD_BLOCK = 1 << 16
 
 
 class TrafficPattern:
-    """Flows (src[i], dst[i], demand[i]) held as three read-only arrays.
+    """Flows (src[i], dst[i], demand[i]), stored only as three read-only arrays.
 
-    `TrafficPattern(kind, flows)` takes any sequence of (source, destination,
-    demand) integer triples. The arrays are int64 when every value fits, and
-    object arrays of Python ints otherwise (`evaluate` refuses such a pattern
-    before routing: a demand that large breaks the int64 bound and an endpoint
-    that large is out of range). No flows, or a flow with equal endpoints or
-    a non-positive demand, raises ValueError naming the first such flow.
+    `TrafficPattern(kind, flows)` takes (source, destination, demand) integer
+    triples; a flow that is not one (another length, a float, a string, a
+    Fraction) raises ValueError naming it. The arrays are int64 when every
+    value fits, and object arrays of Python ints otherwise (`evaluate` refuses
+    such a pattern before routing: a demand that large breaks the int64 bound
+    and an endpoint that large is out of range). No flows, or a flow with
+    equal endpoints or a non-positive demand, raises ValueError naming the
+    first such flow.
     """
 
     def __init__(self, kind: str, flows) -> None:
         flows = tuple(flows)
+        for flow in flows:
+            if len(flow) != 3 or not all(isinstance(x, Integral) for x in flow):
+                raise ValueError(f"flow {flow!r} is not a triple of integers")
         try:
             cols = np.array(flows, dtype=np.int64)
         except OverflowError:
             cols = np.array(flows, dtype=object)
-        self._store(kind, *cols.reshape(-1, 3).T, flows)
+        self._store(kind, *cols.reshape(-1, 3).T)
 
     @classmethod
     def _unit_flows(cls, kind: str, src: np.ndarray, dst: np.ndarray) -> TrafficPattern:
-        """Unit-demand flows src[i] -> dst[i], owning both arrays as they are;
-        `flows` is built from them on first use."""
+        """Unit-demand flows src[i] -> dst[i], owning both arrays as they are."""
         pattern = cls.__new__(cls)
-        pattern._store(kind, src, dst, np.ones(len(src), dtype=np.int64), None)
+        pattern._store(kind, src, dst, np.ones(len(src), dtype=np.int64))
         return pattern
 
-    def _store(self, kind, src, dst, demand, flows) -> None:
+    def _store(self, kind, src, dst, demand) -> None:
         if not len(src):
             raise ValueError("a pattern needs at least one flow")
         bad = (src == dst) | (demand <= 0)
@@ -82,16 +86,12 @@ class TrafficPattern:
         for col in (src, dst, demand):
             col.flags.writeable = False
         self.kind, self.src, self.dst, self.demand = kind, src, dst, demand
-        self._flows = flows
 
     @property
     def flows(self) -> tuple[tuple[int, int, int], ...]:
-        """The flows as (source, destination, demand) tuples: those given to
-        the constructor, or tuples of Python ints built from the arrays on
-        first use."""
-        if self._flows is None:
-            self._flows = tuple(zip(self.src.tolist(), self.dst.tolist(), self.demand.tolist()))
-        return self._flows
+        """The flows as (source, destination, demand) tuples of Python ints,
+        built from the arrays on each access."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(), self.demand.tolist()))
 
     @property
     def total_demand(self) -> int:

@@ -7,17 +7,21 @@ The pattern builders make one tuple per flow, random pairs by one
 source vertex; `evaluate` routes one flow at a time along its path, adding
 each hop's demand to a dict; `kl_refine` calls the dense `_best_swap`
 on every step and updates D by a whole weight-matrix row per moved vertex;
-and `contract` picks each mate by scanning a masked dense weight row.
+`contract` picks each mate by scanning a masked dense weight row; and
+`cartesian_product`, `torus` and `hypercube` build products as a binary fold
+with (u, v) -> u * b.n + v arithmetic of their own.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
 from circnet.metrics import _best_swap, _WorkGraph
 from circnet.routing import _first_hops_from_zero
-from circnet.topology import Topology, mixed_radix
+from circnet.topology import Topology, complete, mixed_radix, ring
 from circnet.traffic import LoadReport, TrafficPattern
 
 
@@ -205,3 +209,57 @@ def contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, np.ndarray]
     coarse = rows[:, a] + rows[:, b]
     np.fill_diagonal(coarse, 0)  # edges inside a pair vanish
     return _WorkGraph(coarse), cid
+
+
+def cartesian_product(a: Topology, b: Topology) -> Topology:
+    """Cartesian product with vertex (u, v) indexed as u * b.n + v."""
+    nb = b.n
+    adjacency = []
+    for u in range(a.n):
+        for v in range(nb):
+            row = [w * nb + v for w in a.adjacency[u]]
+            row += [u * nb + w for w in b.adjacency[v]]
+            adjacency.append(tuple(sorted(row)))
+    factors = (a.factors or (a,)) + (b.factors or (b,))
+    return Topology(
+        n=a.n * nb,
+        adjacency=tuple(adjacency),
+        kind="product",
+        params={"factors": [a.descriptor(), b.descriptor()]},
+        factors=factors,
+        vertex_symmetric=a.vertex_symmetric and b.vertex_symmetric,
+    )
+
+
+def torus(dims: Iterable[int]) -> Topology:
+    """Iterated Cartesian product of rings, largest-first order preserved."""
+    dims = list(dims)
+    if not dims:
+        raise ValueError("torus needs at least one dimension")
+    for d in dims:
+        if d < 3:
+            raise ValueError(f"torus dimensions must be >= 3, got {d}")
+    t = ring(dims[0])
+    for d in dims[1:]:
+        t = cartesian_product(t, ring(d))
+    return replace(
+        t,
+        kind="torus",
+        params={"dims": dims},
+        factors=t.factors or (t,),
+    )
+
+
+def hypercube(d: int) -> Topology:
+    """d-fold Cartesian product of single edges; 2**d vertices of degree d."""
+    if d < 1:
+        raise ValueError(f"hypercube dimension must be >= 1, got {d}")
+    t = complete(2)
+    for _ in range(d - 1):
+        t = cartesian_product(t, complete(2))
+    return replace(
+        t,
+        kind="hypercube",
+        params={"d": d},
+        factors=t.factors or (t,),
+    )

@@ -1,12 +1,16 @@
 """Topology constructor tests: structure, tags, search-space shapes, and the
 unit-multiplier isomorphism (checked at the metric level via BFS profiles)."""
 
+import json
 import math
 from collections import deque
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
+from circnet import topology
+from circnet.cli import SpecError, format_spec
 from circnet.topology import (
     InfeasibleDegreeError,
     JumpSet,
@@ -266,6 +270,103 @@ class TestCartesianProduct:
             assert coords[v][p] in (a, b)[p].adjacency[coords[u][p]]
 
 
+def build(recipe, lib):
+    """Build a recipe with the torus, hypercube and cartesian_product of
+    `lib` (the library, or the binary-fold oracles)."""
+    kind, arg = recipe
+    if kind == "product":
+        return lib.cartesian_product(*(build(r, lib) for r in arg))
+    if kind in ("torus", "hypercube"):
+        return getattr(lib, kind)(arg)
+    if kind == "edges":
+        return from_edges(*arg)
+    return {"ring": ring, "complete": complete}[kind](arg)
+
+
+def recipe_size(recipe) -> int:
+    kind, arg = recipe
+    if kind == "product":
+        return math.prod(recipe_size(r) for r in arg)
+    if kind == "torus":
+        return math.prod(arg)
+    if kind == "hypercube":
+        return 2**arg
+    return arg[0] if kind == "edges" else arg
+
+
+def spec_or_error(t):
+    try:
+        return format_spec(t)
+    except SpecError as exc:
+        return f"SpecError: {exc}"
+
+
+def assert_same_as_fold(t, expected):
+    assert t.n == expected.n
+    assert t.adjacency == expected.adjacency
+    assert json.dumps(t.descriptor()) == json.dumps(expected.descriptor())
+    assert len(t.factors) == len(expected.factors)
+    for leaf, expected_leaf in zip(t.factors, expected.factors):
+        assert json.dumps(leaf.descriptor()) == json.dumps(expected_leaf.descriptor())
+        assert leaf.adjacency == expected_leaf.adjacency
+    assert t.jumps == expected.jumps
+    assert t.vertex_symmetric == expected.vertex_symmetric
+    assert spec_or_error(t) == spec_or_error(expected)
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return n, draw(st.lists(st.sampled_from(pairs), max_size=8))
+
+
+st_operand = st.one_of(
+    st.tuples(st.just("ring"), st.integers(3, 6)),
+    st.tuples(st.just("complete"), st.integers(2, 5)),
+    st.tuples(st.just("torus"), st.lists(st.integers(3, 4), min_size=1, max_size=2)),
+    st.tuples(st.just("hypercube"), st.integers(1, 3)),
+    st.tuples(st.just("edges"), edge_lists()),
+)
+
+
+@st.composite
+def product_recipes(draw):
+    """Products of two or three operands, nested either way."""
+    a, b, c = draw(st_operand), draw(st_operand), draw(st_operand)
+    shape = draw(st.sampled_from(["ab", "(ab)c", "a(bc)", "(ab)(ca)"]))
+    if shape == "ab":
+        return "product", (a, b)
+    if shape == "(ab)c":
+        return "product", (("product", (a, b)), c)
+    if shape == "a(bc)":
+        return "product", (a, ("product", (b, c)))
+    return "product", (("product", (a, b)), ("product", (c, a)))
+
+
+class TestProductsAgainstFold:
+    """The one mixed-radix product builder against the binary fold it
+    replaced (tests/oracles.py): same adjacency, descriptors, leaves, jump
+    set, vertex symmetry and spec string."""
+
+    @given(st.lists(st.integers(3, 5), min_size=1, max_size=4))
+    def test_torus(self, dims):
+        assert_same_as_fold(topology.torus(dims), oracles.torus(dims))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_hypercube(self, d):
+        assert_same_as_fold(topology.hypercube(d), oracles.hypercube(d))
+
+    def test_single_leaf_keeps_its_jump_set(self):
+        assert topology.torus([3]).jumps == JumpSet(3, (1,))
+        assert topology.hypercube(1).jumps == JumpSet(2, (1,))
+
+    @given(product_recipes())
+    def test_products(self, recipe):
+        assume(recipe_size(recipe) <= 400)
+        assert_same_as_fold(build(recipe, topology), build(recipe, oracles))
+
+
 st_jump_set = st.integers(2, 200).flatmap(
     lambda n: st.lists(st.integers(1, n // 2), min_size=1, max_size=5, unique=True).map(
         lambda jumps: JumpSet(n, tuple(jumps))
@@ -297,6 +398,14 @@ class TestExports:
     def test_descriptor(self):
         d = torus([8, 4]).descriptor()
         assert d == {"n": 32, "kind": "torus", "params": {"dims": [8, 4]}}
+
+    @pytest.mark.parametrize(
+        "edges, vertex",
+        [([(0, 7)], 7), ([(7, 7)], 7), ([(0, 1), (4, 2)], 4), ([(0, -1)], -1)],
+    )
+    def test_from_edges_refuses_endpoints_outside_n(self, edges, vertex):
+        with pytest.raises(ValueError, match=rf"^edge endpoint {vertex} outside \[0, 4\)$"):
+            from_edges(4, edges)
 
     def test_from_edges_validates(self):
         with pytest.raises(ValueError):

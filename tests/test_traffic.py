@@ -6,6 +6,8 @@ builders and evaluator match the per-flow oracles in tests/oracles.py."""
 import hashlib
 import json
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -76,6 +78,29 @@ class TestPatterns:
     def test_construction_names_the_first_bad_flow(self, flows, message):
         with pytest.raises(ValueError, match=message):
             TrafficPattern(kind="x", flows=flows)
+
+    @pytest.mark.parametrize(
+        "flows, bad",
+        [
+            (((0, 1, 1), (0, 1, 2.9)), "(0, 1, 2.9)"),
+            (((0.9, 1, 1),), "(0.9, 1, 1)"),
+            ((("0", "1", "1"),), "('0', '1', '1')"),
+            (((0, 1, Fraction(3, 2)),), "(0, 1, Fraction(3, 2))"),
+            (((0, 1, 1), (2, 10**30, np.float64(2.0))), f"(2, {10**30}, {np.float64(2.0)!r})"),
+            (((0, 1), (2, 3), (1, 2)), "(0, 1)"),
+            (((0, 1, 1), (0, 1, 2, 3)), "(0, 1, 2, 3)"),
+        ],
+    )
+    def test_non_integer_triples_are_refused(self, flows, bad):
+        with pytest.raises(ValueError, match=f"^flow {re.escape(bad)} is not a triple of integers$"):
+            TrafficPattern(kind="x", flows=flows)
+
+    def test_integers_of_any_type_are_kept_exactly(self):
+        p = TrafficPattern(kind="x", flows=((np.int64(0), np.int32(1), 2), (1, 0, 2**62)))
+        assert p.flows == ((0, 1, 2), (1, 0, 2**62)) and p.demand.dtype == np.int64
+        assert all(type(x) is int for flow in p.flows for x in flow)
+        big = TrafficPattern(kind="x", flows=((0, 1, 10**30),))
+        assert big.flows == ((0, 1, 10**30),) and big.demand.dtype == object
 
     @pytest.mark.parametrize(
         "pattern",
