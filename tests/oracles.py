@@ -7,7 +7,9 @@ The pattern builders make one tuple per flow, random pairs by one
 source vertex; `evaluate` routes one flow at a time along its path, adding
 each hop's demand to a dict; `kl_refine` calls the dense `_best_swap`
 on every step and updates D by a whole weight-matrix row per moved vertex;
-`contract` picks each mate by scanning a masked dense weight row; and
+`contract` picks each mate by scanning a masked dense weight row;
+`best_balanced_side` runs every restart and every perturbation round, with
+no lower bound to stop at; and
 `cartesian_product`, `torus` and `hypercube` build products as a binary fold
 with (u, v) -> u * b.n + v arithmetic of their own.
 """
@@ -19,7 +21,14 @@ from typing import Iterable
 
 import numpy as np
 
-from circnet.metrics import _best_swap, _WorkGraph
+from circnet.metrics import (
+    _ILS_ROUNDS,
+    _best_swap,
+    _kl_refine,
+    _multilevel_cut,
+    _work_graph,
+    _WorkGraph,
+)
 from circnet.routing import _first_hops_from_zero
 from circnet.topology import Topology, complete, mixed_radix, ring
 from circnet.traffic import LoadReport, TrafficPattern
@@ -263,3 +272,46 @@ def hypercube(d: int) -> Topology:
         params={"d": d},
         factors=t.factors or (t,),
     )
+
+
+def best_balanced_side(t: Topology, restarts: int, seed: int) -> tuple[int, np.ndarray]:
+    """Every restart and every perturbation round of the iterated KL search,
+    factor-lifted seeds included (themselves from this full loop)."""
+    n = t.n
+    if n == 2:
+        return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
+    g = _work_graph(t)
+    kicks = (8, max(8, n // 32), max(12, n // 16))
+    seeds = []
+    if t.factors is not None and len(t.factors) >= 2:
+        digits = np.array(mixed_radix([f.n for f in t.factors])[1])
+        for p, f in enumerate(t.factors):
+            if f.n % 2 == 0:
+                _, fside = best_balanced_side(f, restarts, seed + 7919 * (p + 1))
+                seeds.append(fside[digits[:, p]].astype(np.int8))
+    best = None
+    for i in range(restarts):
+        rng = random.Random(seed + i)
+        if i < len(seeds):
+            side = seeds[i].copy()
+            cut = _kl_refine(g, side)
+        elif i % 2 == 0:
+            cut, side = _multilevel_cut(g, rng)
+        else:
+            side = np.ones(n, dtype=np.int8)
+            side[rng.sample(range(n), n // 2)] = 0
+            cut = _kl_refine(g, side)
+        run_best, run_side = cut, side.copy()
+        for r in range(_ILS_ROUNDS):
+            side = run_side.copy()
+            a = np.flatnonzero(side == 0)
+            b = np.flatnonzero(side == 1)
+            m = min(kicks[r % 3], len(a))
+            side[a[rng.sample(range(len(a)), m)]] = 1
+            side[b[rng.sample(range(len(b)), m)]] = 0
+            cut = _kl_refine(g, side)
+            if cut < run_best:
+                run_best, run_side = cut, side.copy()
+        if best is None or run_best < best[0]:
+            best = (run_best, run_side)
+    return best

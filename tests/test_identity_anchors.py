@@ -26,6 +26,11 @@ RESULTS_SHA256 = {
 SIDE_SHA256 = {
     ("circulant:128:1,8,54", 0): "757ea552b6af459f46f62f3855c30c3ec3bf6a2f9f88307af318f3486785086d",
     ("torus:8,8,4", 7): "bee9c8741f8bd0666cc672fb112f7c3668b71e8e122c60838e3577543f831f54",
+    # the restarts stop early here: the first cut found meets the lower bound
+    ("hypercube:6", 5): "5c85955f709283ecce2b74f1b1552918819f390911816e7bb466805a38ab87f3",
+    ("hypercube:7", 0): "d8ad0501d31785e59870345e43108fc4c0f3fd3e0c106fd9fbd151f949d841fb",
+    ("torus:8,4,4", 3): "3d9c5e81dd09d4642aa732d43d4dd3ebc2dc1415d8dc045d111fde5d65eff267",
+    ("product:ring:8*complete:4", 0): "0e35a53871304db5962bedd5562462cf086ab5dd2fa0fdc00cf15902211feaa1",
 }
 
 # int8 side of _best_balanced_side(t, restarts, seed) at sizes where D ties

@@ -4,15 +4,19 @@ Oracles: Floyd-Warshall for distances, pure-python bipartition enumeration
 for small bisections, and the analytic hypercube/complete/torus cut values.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
+from circnet import metrics
+from circnet.cli import parse_spec
 from circnet.metrics import (
     BisectionInfeasibleError,
     DisconnectedError,
@@ -23,6 +27,7 @@ from circnet.metrics import (
     bfs_distances,
     bisection_exact,
     bisection_heuristic,
+    bisection_lower_bound,
     bisection_method,
     circulant_distance_profile,
     compute_metrics,
@@ -31,6 +36,7 @@ from circnet.metrics import (
     parse_partition,
     _GainBuckets,
     _WorkGraph,
+    _best_balanced_side,
     _best_swap,
     _contract,
     _kl_refine,
@@ -38,6 +44,7 @@ from circnet.metrics import (
 )
 from circnet.topology import (
     JumpSet,
+    cartesian_product,
     circulant,
     complete,
     from_edges,
@@ -46,6 +53,7 @@ from circnet.topology import (
     ring,
     torus,
 )
+from reference_data import PROPERTY_TABLE
 
 
 def floyd_warshall(adjacency):
@@ -517,6 +525,104 @@ class TestBisectionHeuristic:
     def test_odd_n_rejected(self):
         with pytest.raises(BisectionInfeasibleError):
             bisection_heuristic(ring(9))
+
+
+# Leaves of the small graphs the lower bound is checked on: single edges,
+# rings, complete graphs and even-order circulants; their products take the
+# longest prefix of the drawn leaves that stays within 24 vertices.
+st_bound_leaf = st.one_of(
+    st.just(complete(2)),
+    st.integers(3, 12).map(ring),
+    st.integers(2, 8).map(complete),
+    st.integers(2, 12).flatmap(
+        lambda h: st.sets(st.integers(1, h), min_size=1, max_size=4).map(
+            lambda js: circulant(JumpSet(2 * h, tuple(js)))
+        )
+    ),
+)
+
+
+def _product_within(leaves, limit=24):
+    t = leaves[0]
+    for leaf in leaves[1:]:
+        if t.n * leaf.n > limit:
+            break
+        t = cartesian_product(t, leaf)
+    return t
+
+
+ALL_ROWS = [row for rows in PROPERTY_TABLE.values() for row in rows]
+
+
+class TestBisectionLowerBound:
+    @pytest.mark.parametrize("row", ALL_ROWS, ids=lambda row: row.spec)
+    def test_never_above_published_width(self, row):
+        assert 0 < bisection_lower_bound(parse_spec(row.spec)) <= row.bisection
+
+    @pytest.mark.parametrize(
+        "row",
+        [row for row in ALL_ROWS if row.label in ("torus", "hypercube")]
+        + [row for row in ALL_ROWS if row.spec == "product:ring:8*complete:4"],
+        ids=lambda row: row.spec,
+    )
+    def test_tight_on_tori_hypercubes_and_ring_times_k4(self, row):
+        assert bisection_lower_bound(parse_spec(row.spec)) == row.bisection
+
+    @given(st.lists(st_bound_leaf, min_size=1, max_size=3))
+    @settings(max_examples=150)
+    @example([complete(2), complete(2), complete(2)])  # the ring formula would give 8
+    @example([complete(2), ring(4)])
+    @example([ring(6), ring(4)])
+    def test_never_above_exact_width(self, leaves):
+        t = _product_within(leaves)
+        assume(t.n % 2 == 0)
+        # the exact solver with no floor to stop at is full enumeration
+        with mock.patch.object(metrics, "bisection_lower_bound", return_value=0):
+            width = bisection_exact(t)
+        assert 0 <= bisection_lower_bound(t) <= width
+        assert bisection_exact(t) == width
+
+    def test_single_edges_are_not_rings(self):
+        # K2 routes all-to-all with load 1, not the ring formula's 1/2
+        assert bisection_lower_bound(complete(2)) == 1
+        assert bisection_lower_bound(hypercube(3)) == 4 == bisection_exact(hypercube(3))
+
+    def test_zero_without_a_jump_set(self):
+        cycle = from_edges(8, [(v, (v + 1) % 8) for v in range(8)])
+        assert bisection_exact(cycle) == 2
+        assert bisection_lower_bound(cycle) == 0
+        assert bisection_lower_bound(cartesian_product(cycle, ring(4))) == 0
+        assert bisection_lower_bound(cartesian_product(complete(4), cycle)) == 0
+        three = functools.reduce(cartesian_product, [ring(4), cycle, complete(2)])
+        assert bisection_lower_bound(three) == 0
+
+    def test_zero_when_disconnected(self):
+        assert bisection_lower_bound(circulant(JumpSet(12, (2, 4)))) == 0
+
+    # (spec, restarts, seed); the bound is met by the first cut on the tori,
+    # hypercube and products, after a few rounds or restarts on the rings,
+    # and never on the circulants and the circulant product.
+    ORACLE_CASES = [
+        ("hypercube:6", 16, 1),
+        ("torus:8,4,4", 8, 2),
+        ("torus:6,4", 8, 3),
+        ("product:ring:8*complete:4", 8, 0),
+        ("product:ring:6*complete:2", 8, 0),
+        ("ring:64", 4, 1),
+        ("ring:100", 4, 0),
+        ("circulant:64:1,14", 8, 0),
+        ("circulant:48:1,9,17", 8, 3),
+        ("product:circulant:16:1,8*complete:4", 8, 0),
+    ]
+
+    @pytest.mark.parametrize("spec, restarts, seed", ORACLE_CASES)
+    def test_early_stop_keeps_the_full_loops_side(self, spec, restarts, seed):
+        t = parse_spec(spec)
+        cut, side = _best_balanced_side(t, restarts, seed)
+        want_cut, want_side = oracles.best_balanced_side(t, restarts, seed)
+        assert cut == want_cut and cut >= bisection_lower_bound(t)
+        assert side.dtype == want_side.dtype == np.int8
+        assert side.tobytes() == want_side.tobytes()
 
 
 def _partition_text(perm, fault, i, j):
