@@ -151,7 +151,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
     if args.out:
         write_results(args.out, records)
-    rate = merged.scanned / merged.elapsed if merged.elapsed > 0 else float("inf")
+    # None when no scan time was recorded (a resumed finished checkpoint)
+    rate = merged.scanned / merged.elapsed if merged.elapsed > 0 else None
     payload = {
         "config": {
             "subcommand": "search",
@@ -171,7 +172,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         "timing": {"wall_s": wall, "scan_rate_per_core": rate},
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"scan rate: {rate:.0f} graphs/s/core", file=sys.stderr)
+    shown = "n/a" if rate is None else f"{rate:.0f} graphs/s/core"
+    print(f"scan rate: {shown}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -191,28 +191,23 @@ def circulant_distance_profile(
 def diameter_mpl(t: Topology) -> tuple[int, Fraction, Fraction]:
     """(diameter, per-source distance sum, mean path length).
 
-    Vertex-symmetric graphs are measured from vertex 0 only; the general path
-    averages over every source and normalizes the sum back to one source so
-    both paths satisfy mpl * (n - 1) == dist_sum exactly.
+    One BFS per source: vertex 0 alone for vertex-symmetric graphs, every
+    vertex otherwise. The distance total is averaged over the sources, so
+    mpl * (n - 1) == dist_sum exactly either way.
     """
     n = t.n
     if n == 1:
         return 0, Fraction(0), Fraction(0)
-    if t.vertex_symmetric:
-        dist = bfs_distances(t, 0)
-        if -1 in dist:
-            raise DisconnectedError("graph is not connected")
-        s = sum(dist)
-        return max(dist), Fraction(s), Fraction(s, n - 1)
+    sources = range(1) if t.vertex_symmetric else range(n)
     total = 0
     diameter = 0
-    for source in range(n):
+    for source in sources:
         dist = bfs_distances(t, source)
         if -1 in dist:
             raise DisconnectedError("graph is not connected")
         total += sum(dist)
         diameter = max(diameter, max(dist))
-    return diameter, Fraction(total, n), Fraction(total, n * (n - 1))
+    return diameter, Fraction(total, len(sources)), Fraction(total, len(sources) * (n - 1))
 
 
 def cut_size(t: Topology, side_a: set[int]) -> int:
@@ -230,20 +225,21 @@ def _half_tables(t: Topology, base: int, size: int) -> tuple[np.ndarray, np.ndar
     the mask is vertex base+i): the cut inside the half, cin(S), and S's
     degree sum minus twice its internal edges, which is S's share of a cut.
 
-    Built by doubling: the masks with top bit i extend those below 2**i.
+    Built by doubling: the masks with top bit i extend those below 2**i, and
+    adding vertex v to S changes cin by |N(v) & half| - 2 |N(v) & S| and the
+    share by deg(v) - 2 |N(v) & S|, one popcount for both.
     """
     verts = range(base, base + size)
     inner = [sum(1 << (w - base) for w in t.adjacency[v] if w in verts) for v in verts]
-    ew = np.zeros(1 << size, dtype=np.int64)  # internal edges
-    dsin = np.zeros(1 << size, dtype=np.int64)  # degree sum inside the half
-    ds = np.zeros(1 << size, dtype=np.int64)  # full degree sum
+    cin = np.zeros(1 << size, dtype=np.int64)
+    share = np.zeros(1 << size, dtype=np.int64)
     masks = np.arange(1 << size, dtype=np.int64)
     for i, v in enumerate(verts):
         lo, hi = 1 << i, 2 << i
-        ew[lo:hi] = ew[:lo] + np.bitwise_count(masks[:lo] & inner[i])
-        dsin[lo:hi] = dsin[:lo] + inner[i].bit_count()
-        ds[lo:hi] = ds[:lo] + len(t.adjacency[v])
-    return dsin - 2 * ew, ds - 2 * ew
+        twice = 2 * np.bitwise_count(masks[:lo] & inner[i]).astype(np.int64)
+        cin[lo:hi] = cin[:lo] + (inner[i].bit_count() - twice)
+        share[lo:hi] = share[:lo] + (len(t.adjacency[v]) - twice)
+    return cin, share
 
 
 def bisection_method(n: int, exact_limit: int = DEFAULT_EXACT_LIMIT) -> str | None:
@@ -424,10 +420,7 @@ class _WorkGraph:
 
 
 def _work_graph(t: Topology) -> _WorkGraph:
-    weights = np.zeros((t.n, t.n), dtype=np.int32)
-    for u, nbrs in enumerate(t.adjacency):
-        weights[u, list(nbrs)] = 1
-    return _WorkGraph(weights)
+    return _WorkGraph(t.matrix().astype(np.int32))
 
 
 # `rest` of a window that holds every available vertex.
@@ -622,10 +615,7 @@ def _kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
         best_at = -1
         stall = 0
         for step in range(n // 2):
-            pick = buckets.best()
-            if pick is None:
-                break
-            u, v, gain = pick
+            u, v, gain = buckets.best()
             swaps.append((u, v))
             buckets.swap(u, v)
             running += gain
@@ -690,15 +680,19 @@ _COARSEN_FLOOR = 64
 _ILS_ROUNDS = 6
 
 
-def _multilevel_cut(g: _WorkGraph, rng: random.Random) -> tuple[int, np.ndarray]:
-    """One V-cycle: contract to the floor, bisect, project back refining.
+def _multilevel_cut(
+    g: _WorkGraph, rng: random.Random, coarsen_to: int = _COARSEN_FLOOR
+) -> tuple[int, np.ndarray]:
+    """One V-cycle: contract to `coarsen_to` vertices (not at all when that
+    is >= g.n), bisect a random balanced start, project back refining.
 
-    Each level's cluster map projects a coarse side onto the finer level
-    with one gather, side[cid].
+    Only sizes divisible by 4 are contracted, so every level is even and the
+    top's balanced side projects to a bisection of g. Each level's cluster
+    map projects a coarse side onto the finer level with one gather, side[cid].
     """
     levels = [g]
     maps: list[np.ndarray] = []
-    while levels[-1].n > _COARSEN_FLOOR and levels[-1].n % 2 == 0:
+    while levels[-1].n > coarsen_to and levels[-1].n % 4 == 0:
         coarse, cid = _contract(levels[-1], rng)
         levels.append(coarse)
         maps.append(cid)
@@ -733,10 +727,12 @@ def _best_balanced_side(
 ) -> tuple[int, np.ndarray]:
     """Minimum balanced cut found and a side assignment achieving it.
 
-    Perturbation rounds stop once the restart's cut meets
-    `bisection_lower_bound`, and restarts stop once the best cut does. Both
-    keep a cut only on strict improvement and restart i draws only from
-    seed + i, so the cut and side are those of the full loop.
+    Restarts not seeded by a lifted factor side are `_multilevel_cut`
+    V-cycles, the odd ones without contraction. Perturbation rounds stop once
+    the restart's cut meets `bisection_lower_bound`, and restarts stop once
+    the best cut does. Both keep a cut only on strict improvement and
+    restart i draws only from seed + i, so the cut and side are those of the
+    full loop.
     """
     n = t.n
     if n == 2:
@@ -751,12 +747,8 @@ def _best_balanced_side(
         if i < len(seeds):
             side = seeds[i].copy()
             cut = _kl_refine(g, side)
-        elif i % 2 == 0:
-            cut, side = _multilevel_cut(g, rng)
         else:
-            side = np.ones(n, dtype=np.int8)
-            side[rng.sample(range(n), n // 2)] = 0
-            cut = _kl_refine(g, side)
+            cut, side = _multilevel_cut(g, rng, coarsen_to=_COARSEN_FLOOR if i % 2 == 0 else n)
         run_best, run_side = cut, side.copy()
         for r in range(_ILS_ROUNDS):
             if run_best <= floor:

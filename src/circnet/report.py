@@ -122,29 +122,27 @@ def percent_reduction(ratio: Fraction) -> float:
 CSV_HEADER = "n,k,label,D,MPL,BW,d_inv,mpl_inv,bw_ratio"
 
 
+def _cells(r: ComparisonRow) -> tuple:
+    """One row's values in CSV_HEADER order; the ratios and MPL are Fractions."""
+    return (r.n, r.k, r.label, r.diameter, r.mpl, r.bisection, r.d_inv, r.mpl_inv, r.bw_ratio)
+
+
 def to_csv(rows: Sequence[ComparisonRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
         lines.append(
-            f"{r.n},{r.k},{r.label},{r.diameter},{float(r.mpl):.2f},{r.bisection},"
-            f"{float(r.d_inv):.2f},{float(r.mpl_inv):.2f},{float(r.bw_ratio):.2f}"
+            ",".join(f"{float(x):.2f}" if isinstance(x, Fraction) else str(x) for x in _cells(r))
         )
     return "\n".join(lines) + "\n"
 
 
 def to_json(rows: Sequence[ComparisonRow]) -> str:
+    keys = CSV_HEADER.split(",")
     return json.dumps(
         [
             {
-                "n": r.n,
-                "k": r.k,
-                "label": r.label,
-                "D": r.diameter,
-                "MPL": round(float(r.mpl), 2),
-                "BW": r.bisection,
-                "d_inv": round(float(r.d_inv), 2),
-                "mpl_inv": round(float(r.mpl_inv), 2),
-                "bw_ratio": round(float(r.bw_ratio), 2),
+                k: round(float(x), 2) if isinstance(x, Fraction) else x
+                for k, x in zip(keys, _cells(r))
             }
             for r in rows
         ],

@@ -36,6 +36,7 @@ its range's best.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -353,6 +354,13 @@ def load_checkpoint(
             cursor = rec["cursor_rank"]
             if not rng.start <= cursor <= rng.end:
                 raise CheckpointError(f"cursor {cursor} outside range {rng}")
+            # older checkpoints carry no scan time
+            elapsed = rec.get("elapsed", 0.0)
+            if type(elapsed) not in (int, float) or not (math.isfinite(elapsed) and elapsed >= 0):
+                raise CheckpointError(
+                    f"range {rng}: 'elapsed' must be a finite non-negative number, "
+                    f"got {elapsed!r}"
+                )
             states.append(
                 _RangeState(
                     rank_range=rng,
@@ -360,7 +368,7 @@ def load_checkpoint(
                     best_d=rec["best_diameter"],
                     best_s=rec["best_dist_sum"],
                     candidates=[tuple(c) for c in rec["candidates"]],
-                    elapsed=float(rec.get("elapsed", 0.0)),
+                    elapsed=float(elapsed),
                 )
             )
     except CheckpointError:

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from .combinatorics import binomial
 
 
@@ -98,6 +100,13 @@ class Topology:
     def is_regular(self) -> bool:
         degs = {len(nbrs) for nbrs in self.adjacency}
         return len(degs) == 1
+
+    def matrix(self) -> np.ndarray:
+        """n x n bool adjacency matrix, built from `adjacency` on each call."""
+        m = np.zeros((self.n, self.n), dtype=bool)
+        for u, nbrs in enumerate(self.adjacency):
+            m[u, list(nbrs)] = True
+        return m
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted undirected edge list with u < v."""

@@ -216,11 +216,8 @@ def _check_table(t: Topology, table: RoutingTable) -> None:
     rows = table.rows
     if rows.min() < 0 or rows.max() >= n:
         raise ValueError(f"routing table names a vertex outside [0, {n})")
-    link = np.zeros((n, n), dtype=bool)
-    for u, nbrs in enumerate(t.adjacency):
-        link[u, list(nbrs)] = True
     vertex = np.arange(n)
-    ok = link[vertex[:, None], rows]
+    ok = t.matrix()[vertex[:, None], rows]
     ok[vertex, vertex] = rows[vertex, vertex] == vertex
     if not ok.all():
         s, d = (int(x) for x in np.argwhere(~ok)[0])

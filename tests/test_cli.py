@@ -268,6 +268,36 @@ class TestSearchCommand:
         rc = main(["search", "--n", "32", "--k", "4", "--checkpoint", str(ck)])
         assert rc == EXIT_CHECKPOINT
 
+    @pytest.mark.parametrize("elapsed", [None, "nan", -5])
+    def test_resume_without_scan_time(self, tmp_path, capsys, elapsed):
+        ck = tmp_path / "ck.jsonl"
+        args = ["search", "--n", "32", "--k", "4", "--workers", "1", "--restarts", "4",
+                "--checkpoint", str(ck)]
+        assert main(args) == EXIT_OK
+        capsys.readouterr()
+        lines = []
+        for line in ck.read_text().splitlines():
+            rec = json.loads(line)
+            if elapsed is None:
+                del rec["elapsed"]
+            else:
+                rec["elapsed"] = elapsed
+            lines.append(json.dumps(rec))
+        ck.write_text("\n".join(lines) + "\n")
+        rc = main(args)
+        captured = capsys.readouterr()
+        if elapsed is not None:
+            assert rc == EXIT_CHECKPOINT and "elapsed" in captured.err
+            return
+        assert rc == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads(captured.out, parse_constant=refuse)
+        assert payload["timing"]["scan_rate_per_core"] is None
+        assert "scan rate: n/a" in captured.err
+
     def test_exact_limit_above_cap_falls_back_to_heuristic(self, capsys):
         rc = main(
             ["search", "--n", "64", "--k", "4", "--workers", "1",

@@ -39,6 +39,7 @@ from circnet.metrics import (
     _best_balanced_side,
     _best_swap,
     _contract,
+    _half_tables,
     _kl_refine,
     _window,
 )
@@ -94,6 +95,19 @@ def random_graph(rnd, n, p):
 
 st_graph = st.tuples(
     st.integers(2, 16), st.floats(0.25, 0.9), st.integers(0, 10_000)
+)
+
+
+# Connected leaves of the products the distance fast path is checked on.
+st_distance_leaf = st.one_of(
+    st.integers(3, 8).map(ring),
+    st.integers(2, 6).map(complete),
+    st.integers(4, 16).flatmap(
+        lambda n: st.sets(st.integers(1, n // 2), min_size=1, max_size=3)
+        .map(lambda js: JumpSet(n, tuple(js)))
+        .filter(is_connected_circulant)
+        .map(circulant)
+    ),
 )
 
 
@@ -195,6 +209,14 @@ class TestDiameterMpl:
         assert not plain.vertex_symmetric
         assert diameter_mpl(t) == diameter_mpl(plain)
 
+    @given(st.lists(st_distance_leaf, min_size=2, max_size=4))
+    def test_product_fast_path_equals_general(self, leaves):
+        t = _product_within(leaves, 64)
+        assume(t.factors is not None)
+        plain = from_edges(t.n, t.edges())
+        assert t.vertex_symmetric and not plain.vertex_symmetric
+        assert diameter_mpl(t) == diameter_mpl(plain)
+
     @given(st_graph)
     def test_dist_sum_never_grows_under_edge_addition(self, params):
         n, p, seed = params
@@ -214,6 +236,23 @@ class TestDiameterMpl:
         extra = rnd.choice(non_edges)
         _, s1, _ = diameter_mpl(from_edges(n, t.edges() + [extra]))
         assert s1 <= s0
+
+
+class TestHalfTables:
+    @given(st_graph)
+    def test_matches_brute_force_over_both_halves(self, params):
+        n, p, seed = params
+        assume(n <= 12)
+        t = random_graph(random.Random(seed), n, p)
+        for base, size in ((0, n // 2), (n // 2, n - n // 2)):
+            cin, share = _half_tables(t, base, size)
+            assert cin.shape == share.shape == (1 << size,)
+            half = set(range(base, base + size))
+            for mask in range(1 << size):
+                s = {base + i for i in range(size) if mask >> i & 1}
+                inside = sum(1 for u in s for w in t.adjacency[u] if w in half - s)
+                assert cin[mask] == inside
+                assert share[mask] == cut_size(t, s)
 
 
 class TestBisectionMethod:
@@ -525,6 +564,43 @@ class TestBisectionHeuristic:
     def test_odd_n_rejected(self):
         with pytest.raises(BisectionInfeasibleError):
             bisection_heuristic(ring(9))
+
+
+def _two_rings():
+    """Rings with jumps {1, 2} on 64 and 66 vertices, joined by two bridges.
+    Every balanced split cuts at least 4 ring edges and 1 bridge: width 5."""
+    edges = [(0, 64), (32, 97)]
+    for base, m in ((0, 64), (64, 66)):
+        edges += [(base + i, base + (i + j) % m) for i in range(m) for j in (1, 2)]
+    return from_edges(130, edges)
+
+
+class TestVCycleBalance:
+    """Every V-cycle level is even, so every side is a bisection; sizes whose
+    halving reaches an odd level above the coarsening floor once gave
+    unbalanced sides."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "circulant:66:1,14",
+            "circulant:102:1,9,29",
+            "circulant:126:1,6,26",
+            "circulant:130:1,7",
+            "circulant:132:1,5,21",
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_side_is_a_bisection(self, spec, seed):
+        t = parse_spec(spec)
+        cut, side = _best_balanced_side(t, 2, seed)
+        assert np.count_nonzero(side == 0) == t.n // 2
+        assert cut == cut_size(t, set(np.flatnonzero(side == 0).tolist()))
+
+    def test_width_of_two_bridged_rings(self):
+        t = _two_rings()
+        assert bisection_heuristic(t, 16, 13) == 5
+        assert compute_metrics(t, restarts=16, seed=13).bisection == 5
 
 
 # Leaves of the small graphs the lower bound is checked on: single edges,

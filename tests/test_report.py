@@ -1,6 +1,7 @@
 """Report tests: exact-rational ratio tables and the published headline
 averages recomputed from the two-decimal property-table values."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -124,3 +125,40 @@ class TestRendering:
         assert {r["label"] for r in rows} == {
             "torus", "oc-low", "oc-high", "product", "hypercube",
         }
+
+
+# sha256 of to_csv and to_json for each printed table, by graph size.
+RENDER_SHA256 = {
+    32: (
+        "53a338e9aaf179d48515da8f6e4874e550a9514ab1224fa2250a65c6121ff0c2",
+        "0d78872fd0c9f99121afcb05f54fad2f7c3dcd3473215d612ccb7d98fd30a695",
+    ),
+    64: (
+        "30af902eecbcd0bb79d09967c99d3303466927e0dc482fbe66bf4ab13fdc5ccb",
+        "7e46c0c92ec0689b1b935295c083479fbdde84ddeee9891e86fa782e5a449f79",
+    ),
+    128: (
+        "1417e03dd381a4ae8a6df7841b6559eece2f1a9ddb9825885d426879fa750ee0",
+        "f42d19a39f1c19efccebab6935696fe4fd322f21e77386d736ee0e1d5ce1341e",
+    ),
+    256: (
+        "ead49fae375808269e01dfe43583f474bfeced67a493f7c951a7933a736c3772",
+        "23be4e1a7c8a15c1a740c4ca9f139f5abab9e3669d1355567b88deaa529fcc2a",
+    ),
+    512: (
+        "6941bab361ca24f30b71c4dfbe251d132b9daecd3d9f5eaf9bb5b172fcf32880",
+        "8d980b12e15eaddb4e5b65214c30c4557d461f7b17244558d9e476a99aeefceb",
+    ),
+    1024: (
+        "aa2fa2b6bd0268c62d6b1b620294b0902a5e17db240dd5080c62988f2804dd58",
+        "0f1354dca50deec7478d4b064c09c3bc5f4e6f3c36ba594862f76060ccdcc81c",
+    ),
+}
+
+
+@pytest.mark.parametrize("index", range(len(RENDER_SHA256)))
+def test_rendered_tables_digest(index):
+    table = printed_tables()[index]
+    csv_sha, json_sha = RENDER_SHA256[table[0].n]
+    assert hashlib.sha256(to_csv(table).encode()).hexdigest() == csv_sha
+    assert hashlib.sha256(to_json(table).encode()).hexdigest() == json_sha

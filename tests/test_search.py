@@ -408,3 +408,35 @@ class TestCheckpointFieldTypes:
             ck.write_text(json.dumps(rec, sort_keys=True) + "\n")
             with pytest.raises(CheckpointError):
                 load_checkpoint(ck, 32, 4, True, count_space(32, 4))
+
+
+# An `elapsed` key left out of a checkpoint line.
+_MISSING = object()
+
+
+class TestCheckpointElapsed:
+    """`elapsed`, when present, is a finite non-negative JSON number; a line
+    without it (an older checkpoint) counts as no scan time."""
+
+    def _load(self, tmp_path, value):
+        rec = json.loads(_genuine_checkpoint())
+        if value is _MISSING:
+            del rec["elapsed"]
+        else:
+            rec["elapsed"] = value
+        ck = tmp_path / "ck.jsonl"
+        ck.write_text(json.dumps(rec, sort_keys=True) + "\n")
+        return load_checkpoint(ck, 32, 4, True, count_space(32, 4))
+
+    @pytest.mark.parametrize(
+        "value",
+        ["nan", "1e400", "1.5", -5, -0.5, True, False, None, [1], float("nan"), float("inf")],
+    )
+    def test_bad_elapsed_rejected(self, tmp_path, value):
+        with pytest.raises(CheckpointError, match="'elapsed' must be"):
+            self._load(tmp_path, value)
+
+    @pytest.mark.parametrize("value, expected", [(_MISSING, 0.0), (0, 0.0), (3, 3.0), (2.5, 2.5)])
+    def test_good_elapsed_kept(self, tmp_path, value, expected):
+        (state,) = self._load(tmp_path, value)
+        assert state.elapsed == expected and type(state.elapsed) is float

@@ -3,8 +3,10 @@ unit-multiplier isomorphism (checked at the metric level via BFS profiles)."""
 
 import json
 import math
+import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -406,6 +408,17 @@ class TestExports:
     def test_from_edges_refuses_endpoints_outside_n(self, edges, vertex):
         with pytest.raises(ValueError, match=rf"^edge endpoint {vertex} outside \[0, 4\)$"):
             from_edges(4, edges)
+
+    @given(st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 10_000))
+    def test_matrix_is_the_adjacency(self, n, p, seed):
+        rnd = random.Random(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p]
+        for t in (from_edges(n, edges), torus([4, 3]), circulant(JumpSet(12, (1, 6)))):
+            m = t.matrix()
+            assert m.dtype == np.bool_ and m.shape == (t.n, t.n)
+            assert (m == m.T).all() and not m.diagonal().any()
+            assert m.sum(axis=1).tolist() == [len(nbrs) for nbrs in t.adjacency]
+            assert [tuple(np.flatnonzero(row).tolist()) for row in m] == list(t.adjacency)
 
     def test_from_edges_validates(self):
         with pytest.raises(ValueError):
