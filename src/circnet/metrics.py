@@ -33,13 +33,20 @@ with even dimensions, every hypercube, ring x K4 and complete graph, so
 those are solved by their first cut: at 64 restarts `hypercube:10` and `torus:8,8,4,4` take
 0.02 s instead of 6 s. A cut is kept only on strict improvement, so the
 widths and sides are those of the unstopped solvers.
+
+From n = 128 up, a heuristic whose first restart misses that floor runs the
+other restarts on a process pool. Restart i draws only from seed + i and
+the minimum is taken by (cut, index), so widths and sides do not depend on
+the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from bisect import bisect_left, insort
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -706,7 +713,9 @@ def _multilevel_cut(
     return cut, side
 
 
-def _factor_lift_seeds(t: Topology, restarts: int, seed: int) -> list[np.ndarray]:
+def _factor_lift_seeds(
+    t: Topology, restarts: int, seed: int, workers: int | None
+) -> list[np.ndarray]:
     """Balanced starts for product graphs: bisect each even-order factor and
     copy its side across every other coordinate (the dimension-cut family,
     which random starts rarely reassemble on large products)."""
@@ -717,61 +726,142 @@ def _factor_lift_seeds(t: Topology, restarts: int, seed: int) -> list[np.ndarray
     for p, f in enumerate(t.factors):
         if f.n % 2:
             continue
-        _, fside = _best_balanced_side(f, restarts, seed + 7919 * (p + 1))
+        _, fside = _best_balanced_side(f, restarts, seed + 7919 * (p + 1), workers)
         seeds.append(fside[digits[:, p]].astype(np.int8))
     return seeds
 
 
+def available_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _restart(
+    g: _WorkGraph,
+    seed_side: np.ndarray | None,
+    i: int,
+    seed: int,
+    kicks: tuple[int, int, int],
+    floor: int,
+) -> tuple[int, np.ndarray]:
+    """Restart i of `_best_balanced_side`: KL from `seed_side` when one is
+    given, else a `_multilevel_cut` V-cycle (without contraction for odd i),
+    then `_ILS_ROUNDS` kick-and-refine rounds on the best side so far, which
+    stop once it meets `floor`. Everything random comes from seed + i."""
+    rng = random.Random(seed + i)
+    if seed_side is not None:
+        side = seed_side.copy()
+        cut = _kl_refine(g, side)
+    else:
+        cut, side = _multilevel_cut(g, rng, coarsen_to=_COARSEN_FLOOR if i % 2 == 0 else g.n)
+    run_best, run_side = cut, side.copy()
+    for r in range(_ILS_ROUNDS):
+        if run_best <= floor:
+            break
+        side = run_side.copy()
+        a = np.flatnonzero(side == 0)
+        b = np.flatnonzero(side == 1)
+        m = min(kicks[r % 3], len(a))
+        side[a[rng.sample(range(len(a)), m)]] = 1
+        side[b[rng.sample(range(len(b)), m)]] = 0
+        cut = _kl_refine(g, side)
+        if cut < run_best:
+            run_best, run_side = cut, side.copy()
+    return run_best, run_side
+
+
+# Graphs this large run restarts 1.. on a process pool once restart 0 misses
+# the floor. At n = 64 a pool's start-up cost about what it saved.
+_POOL_MIN_N = 128
+
+# What one heuristic call's restarts share: (work graph, lifted factor
+# sides, seed, kicks, floor).
+_Job = tuple[_WorkGraph, list[np.ndarray], int, tuple[int, int, int], int]
+
+# The job of the pool this worker process serves, set once per worker by
+# the pool's initializer.
+_pool_job: _Job | None = None
+
+
+def _job_restart(job: _Job, i: int) -> tuple[int, np.ndarray]:
+    g, seeds, seed, kicks, floor = job
+    return _restart(g, seeds[i] if i < len(seeds) else None, i, seed, kicks, floor)
+
+
+def _init_pool_worker(job: _Job) -> None:
+    global _pool_job
+    _pool_job = job
+
+
+def _pool_restart(i: int) -> tuple[int, np.ndarray]:
+    return _job_restart(_pool_job, i)
+
+
+def _pooled_restarts(job: _Job, restarts: int, workers: int) -> list[tuple[int, np.ndarray]]:
+    """Restarts 1..restarts-1 on `workers` processes, returned in index order
+    up to the first that meets the floor; later ones are cancelled or
+    dropped, as the sequential loop never runs them. The pool is shut down
+    before this returns or raises."""
+    floor = job[-1]
+    pool = ProcessPoolExecutor(workers, initializer=_init_pool_worker, initargs=(job,))
+    try:
+        index = {pool.submit(_pool_restart, i): i for i in range(1, restarts)}
+        runs: dict[int, tuple[int, np.ndarray]] = {}
+        stop = restarts
+        pending = set(index)
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for fut in done:
+                i = index[fut]
+                if i < stop:
+                    runs[i] = fut.result()
+                    if runs[i][0] <= floor:
+                        stop = i
+            pending = {fut for fut in pending if index[fut] < stop}
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [runs[i] for i in sorted(runs) if i <= stop]
+
+
 def _best_balanced_side(
-    t: Topology, restarts: int, seed: int
+    t: Topology, restarts: int, seed: int, workers: int | None = None
 ) -> tuple[int, np.ndarray]:
     """Minimum balanced cut found and a side assignment achieving it.
 
-    Restarts not seeded by a lifted factor side are `_multilevel_cut`
-    V-cycles, the odd ones without contraction. Perturbation rounds stop once
-    the restart's cut meets `bisection_lower_bound`, and restarts stop once
-    the best cut does. Both keep a cut only on strict improvement and
-    restart i draws only from seed + i, so the cut and side are those of the
-    full loop.
+    Restart i (`_restart`) starts from a lifted factor side while those last
+    and from a V-cycle otherwise. Perturbation rounds stop once the
+    restart's cut meets `bisection_lower_bound`, and restarts stop once the
+    best cut does. Restart 0 runs here. When it misses the floor and n >=
+    `_POOL_MIN_N`, restarts 1.. run on min(workers, restarts - 1) processes
+    (`workers` defaults to `available_cores()`; 1 runs them here in order).
+    Restart i draws only from seed + i, and the result is the first minimum
+    by index among the restarts up to the first that meets the floor, so
+    the cut and side are those of the full sequential loop for any worker
+    count.
     """
     n = t.n
     if n == 2:
         return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
-    g = _work_graph(t)
     kicks = (8, max(8, n // 32), max(12, n // 16))
-    seeds = _factor_lift_seeds(t, restarts, seed)
     floor = bisection_lower_bound(t)
-    best: tuple[int, np.ndarray] | None = None
-    for i in range(restarts):
-        rng = random.Random(seed + i)
-        if i < len(seeds):
-            side = seeds[i].copy()
-            cut = _kl_refine(g, side)
-        else:
-            cut, side = _multilevel_cut(g, rng, coarsen_to=_COARSEN_FLOOR if i % 2 == 0 else n)
-        run_best, run_side = cut, side.copy()
-        for r in range(_ILS_ROUNDS):
-            if run_best <= floor:
+    job = (_work_graph(t), _factor_lift_seeds(t, restarts, seed, workers), seed, kicks, floor)
+    runs = [_job_restart(job, 0)]
+    procs = min(available_cores() if workers is None else workers, restarts - 1)
+    if runs[0][0] > floor and n >= _POOL_MIN_N and procs > 1:
+        runs += _pooled_restarts(job, restarts, procs)
+    else:
+        for i in range(1, restarts):
+            if runs[-1][0] <= floor:
                 break
-            side = run_side.copy()
-            a = np.flatnonzero(side == 0)
-            b = np.flatnonzero(side == 1)
-            m = min(kicks[r % 3], len(a))
-            side[a[rng.sample(range(len(a)), m)]] = 1
-            side[b[rng.sample(range(len(b)), m)]] = 0
-            cut = _kl_refine(g, side)
-            if cut < run_best:
-                run_best, run_side = cut, side.copy()
-        if best is None or run_best < best[0]:
-            best = (run_best, run_side)
-        if best[0] <= floor:
-            break
-    assert best is not None
-    return best
+            runs.append(_job_restart(job, i))
+    return min(runs, key=lambda r: r[0])
 
 
 def bisection_heuristic(
-    t: Topology, restarts: int = DEFAULT_RESTARTS, seed: int = 0
+    t: Topology, restarts: int = DEFAULT_RESTARTS, seed: int = 0, workers: int | None = None
 ) -> int:
     """Best balanced cut over `restarts` runs of iterated Kernighan-Lin.
 
@@ -781,18 +871,26 @@ def bisection_heuristic(
     few restarts with lifted factor bisections. Every local minimum is then
     perturbed (a seeded batch of cross-pair swaps) and re-refined a few
     rounds. Deterministic for a given seed: restart i draws everything from
-    seed + i and the result is the minimum over restarts, independent of
-    execution order. Always an upper bound on the true bisection width.
-    Rounds and restarts stop once a cut meets `bisection_lower_bound`,
-    which proves it optimal and leaves the result unchanged: at 64
-    restarts `hypercube:7` and `torus:8,4,4` take 4 ms instead of 1.3 s.
+    seed + i and the result is the minimum over restarts by (cut, index),
+    independent of execution order. Always an upper bound on the true
+    bisection width. Rounds and restarts stop once a cut meets
+    `bisection_lower_bound`, which proves it optimal and leaves the result
+    unchanged: at 64 restarts `hypercube:7` and `torus:8,4,4` take 4 ms
+    instead of 1.3 s.
+
+    From n = 128 up, once restart 0 misses that floor, the other restarts
+    run on a pool of min(workers, restarts - 1) processes (`workers`
+    defaults to the cores this process may use; 1 keeps them all in this
+    process). The result is the same for any worker count.
     """
     n = t.n
     if n % 2:
         raise BisectionInfeasibleError(f"strict balance impossible for odd n={n}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    return _best_balanced_side(t, restarts, seed)[0]
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return _best_balanced_side(t, restarts, seed, workers)[0]
 
 
 def parse_partition(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -835,16 +933,20 @@ def compute_metrics(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     partition: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+    workers: int | None = None,
 ) -> MetricsRecord:
     """Full MetricsRecord: BFS metrics plus a bisection width.
 
     Bisection is recomputed from a supplied partition, or else obtained as
     `bisection_method` decides: exact, heuristic, or None for odd vertex
-    counts, which cannot be strictly bisected. `restarts` below 1 is refused
-    before any work, whichever way the width would be obtained.
+    counts, which cannot be strictly bisected. `workers` caps the processes
+    the heuristic's restarts may run on. `restarts` or `workers` below 1 is
+    refused before any work, whichever way the width would be obtained.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     diameter, dist_sum, _ = diameter_mpl(t)
     bisection: int | None
     method = bisection_method(t.n, exact_limit)
@@ -855,7 +957,7 @@ def compute_metrics(
     elif method == "exact":
         bisection, exact = bisection_exact(t, exact_limit), True
     else:
-        bisection, exact = bisection_heuristic(t, restarts, seed), False
+        bisection, exact = bisection_heuristic(t, restarts, seed, workers), False
     return MetricsRecord(
         n=t.n,
         degree=t.degree,

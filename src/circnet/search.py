@@ -23,8 +23,8 @@ kernel abandons a candidate before the level that proves it worse, and the
 test is strict, so every tie is measured in full. Only the amount of pruning
 depends on the running best, never which jump sets are kept, which is why
 the outcome stays independent of chunking and order. On one core of a
-2-vCPU Xeon host (Python 3.11) this scans about 80-97k graphs/s at (255, 6)
-and (257, 6) and 124-141k at (127, 8), twice the rate of the unbounded scan.
+2-vCPU Xeon host (Python 3.11) a full-space scan runs at about 140-180k
+graphs/s at (255, 6) and (257, 6) and 225-240k at (127, 8).
 
 Checkpoints are JSON lines, one `_RangeState` per range; a resumed run
 continues each range from its cursor. A loaded checkpoint is not trusted:
@@ -48,6 +48,7 @@ from .metrics import (
     DEFAULT_EXACT_LIMIT,
     DEFAULT_RESTARTS,
     MetricsRecord,
+    available_cores,
     circulant_distance_profile,
     compute_metrics,
 )
@@ -120,7 +121,7 @@ class SearchConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
 
     def resolved_workers(self) -> int:
-        return self.workers if self.workers is not None else (os.cpu_count() or 1)
+        return self.workers if self.workers is not None else available_cores()
 
 
 def count_space(n: int, k: int, reduced: bool = True) -> int:
@@ -473,7 +474,11 @@ def run_search(
         rep = adam_canonical(js)
         if rep.jumps not in class_metrics:
             m = compute_metrics(
-                circulant(rep), config.exact_bisection_limit, config.restarts, config.seed
+                circulant(rep),
+                config.exact_bisection_limit,
+                config.restarts,
+                config.seed,
+                workers=config.workers,
             )
             if (m.diameter, m.dist_sum) != best:
                 raise AssertionError(

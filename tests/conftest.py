@@ -1,5 +1,7 @@
+import multiprocessing
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -21,3 +23,11 @@ def pytest_runtest_logreport(report):
         print(f"\n[ACCEPTANCE] {name}: {status}", flush=True)
     elif report.when == "setup" and report.skipped:
         print(f"\n[ACCEPTANCE] {name}: SKIP", flush=True)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_left():
+    """Every process pool a test starts is shut down by the end of the run."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes still running after the tests: {left}"

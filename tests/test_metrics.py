@@ -6,6 +6,7 @@ for small bisections, and the analytic hypercube/complete/torus cut values.
 
 import functools
 import itertools
+import multiprocessing
 import random
 from fractions import Fraction
 from unittest import mock
@@ -699,6 +700,89 @@ class TestBisectionLowerBound:
         assert cut == want_cut and cut >= bisection_lower_bound(t)
         assert side.dtype == want_side.dtype == np.int8
         assert side.tobytes() == want_side.tobytes()
+
+
+class TestPooledRestarts:
+    """Restarts 1.. on a process pool give the sequential loop's cut and side
+    for any worker count, and the pool never outlives the call."""
+
+    # (spec, restarts, seed): a floor hit at restart 1 (the 20 x 20 torus),
+    # one at restart 0, factor-lifted seeds (the product), a single restart,
+    # fewer restarts than workers, and one n = 1024 circulant.
+    CASES = [
+        ("torus:20,20", 4, 7),
+        ("ring:100", 4, 0),
+        ("product:circulant:32:1,7*complete:4", 4, 0),
+        ("circulant:128:1,8,54", 1, 0),
+        ("circulant:128:1,8,54", 2, 3),
+        ("circulant:128:1,8,54", 3, 2),
+        ("circulant:1024:1,144,258,276", 4, 0),
+    ]
+
+    @pytest.mark.parametrize("spec, restarts, seed", CASES)
+    def test_same_cut_and_side_for_any_worker_count(self, spec, restarts, seed):
+        t = parse_spec(spec)
+        want_cut, want_side = oracles.best_balanced_side(t, restarts, seed)
+        for workers in (1, 2, 3):
+            cut, side = _best_balanced_side(t, restarts, seed, workers)
+            assert (cut, side.tobytes()) == (want_cut, want_side.tobytes()), workers
+
+    def test_torus_meets_the_floor_after_restart_zero(self):
+        # what makes the torus case above test the pool's early stop
+        t = parse_spec("torus:20,20")
+        floor = bisection_lower_bound(t)
+        assert _best_balanced_side(t, 1, 7, 1)[0] > floor
+        assert _best_balanced_side(t, 2, 7, 1)[0] == floor
+
+    def test_pool_used_above_the_threshold_only(self, monkeypatch):
+        calls = []
+        pooled = metrics._pooled_restarts
+        monkeypatch.setattr(
+            metrics, "_pooled_restarts", lambda *args: calls.append(args[-1]) or pooled(*args)
+        )
+        _best_balanced_side(parse_spec("circulant:64:1,14"), 4, 0, 2)
+        _best_balanced_side(parse_spec("circulant:128:1,8,54"), 4, 0, 1)
+        _best_balanced_side(parse_spec("torus:8,4,4"), 4, 0, 2)  # restart 0 meets the floor
+        assert calls == []
+        _best_balanced_side(parse_spec("circulant:128:1,8,54"), 4, 0, 8)
+        assert calls == [3]  # min(workers, restarts - 1) processes
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched restart reaches pool workers only through fork",
+    )
+    def test_restart_error_reaches_the_caller_and_the_pool_is_shut_down(self, monkeypatch):
+        restart = metrics._restart
+
+        def failing(g, seed_side, i, *rest):
+            if i == 2:
+                raise RuntimeError("restart 2 failed")
+            return restart(g, seed_side, i, *rest)
+
+        monkeypatch.setattr(metrics, "_restart", failing)
+        with pytest.raises(RuntimeError) as info:
+            _best_balanced_side(parse_spec("circulant:128:1,8,54"), 4, 0, 2)
+        assert type(info.value) is RuntimeError
+        assert info.value.args == ("restart 2 failed",)
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_starts_no_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", no_pool)
+        t = parse_spec("circulant:128:1,8,54")
+        assert compute_metrics(t, restarts=3, workers=1).bisection > 0
+        with pytest.raises(AssertionError, match="pool was started"):
+            compute_metrics(t, restarts=3, workers=2)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_fewer_than_one_worker_is_refused(self, workers):
+        # refused before any work, even where no heuristic would run
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            compute_metrics(parse_spec("ring:7"), workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            bisection_heuristic(parse_spec("circulant:128:1,8,54"), 2, 0, workers)
 
 
 def _partition_text(perm, fault, i, j):

@@ -6,6 +6,7 @@ independent queue BFS, and sorts by (diameter, distance sum, -bisection).
 
 import itertools
 import json
+import os
 import tempfile
 from collections import deque
 from functools import lru_cache
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from circnet import search
+from circnet import metrics, search
 from circnet.combinatorics import binomial
 from circnet.metrics import bisection_exact
 from circnet.search import (
@@ -440,3 +441,23 @@ class TestCheckpointElapsed:
     def test_good_elapsed_kept(self, tmp_path, value, expected):
         (state,) = self._load(tmp_path, value)
         assert state.elapsed == expected and type(state.elapsed) is float
+
+
+class TestWorkerCount:
+    def test_default_is_the_cores_this_process_may_use(self, monkeypatch):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert metrics.available_cores() == 1
+        assert SearchConfig().resolved_workers() == 1
+        assert SearchConfig(workers=3).resolved_workers() == 3
+
+    def test_one_worker_starts_no_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", no_pool)
+        # n = 128: the optimal classes' bisections take the heuristic
+        records, _ = run_search(128, 6, SearchConfig(workers=1, restarts=3))
+        assert records and all(not r.metrics.bisection_exact for r in records)
