@@ -2,11 +2,13 @@
 
 Diameter and mean path length come from breadth-first search; vertex-symmetric
 graphs need a single source. `circulant_distance_profile` is the one circulant
-BFS kernel, used by the search scan and by checkpoint verification: the
-frontier is held in one big integer per level and expands by two shifts per
-jump, so a whole BFS level costs a handful of word-level shift/or operations
-regardless of degree. Given the running best it stops a candidate as soon as
-the candidate is provably worse (strictly, so ties always finish).
+BFS kernel, used by the search scan and by checkpoint verification. It holds
+the ball of radius d around vertex 0 in one big integer and grows it by the
+ball recurrence B_d(S) = B_d(S - {s}) | (B_{d-1}(S) +- s): with the balls of
+all jumps but the first taken from a small cache, a whole BFS level costs
+one rotation pair, one OR and one mask, whatever the degree. Given the
+running best it stops a candidate as soon as the candidate is provably worse
+(strictly, so ties always finish).
 
 Bisection width is the minimum edge cut over exactly balanced bipartitions.
 `bisection_method` is the single policy choosing between the two solvers.
@@ -148,16 +150,73 @@ def bfs_distances(t: Topology, source: int) -> list[int]:
     return dist
 
 
+# The ball cache of `circulant_distance_profile`: slot L holds the last
+# L-jump set whose balls were built, as (n, jumps, [B_0, B_1, ...]). It is
+# per process and not guarded for concurrent threads.
+_BALLS: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
+
+
+def _check_jump(n: int, s: int) -> None:
+    if not 0 < s < n:
+        raise ValueError(f"jump {s} is outside [1, {n - 1}] for n = {n}")
+
+
+def _balls(n: int, jumps: tuple[int, ...], depth: int) -> list[int]:
+    """[B_0, ..., B_depth] (at least) for `jumps`: B_d is the n-bit mask of
+    the vertices within distance d of vertex 0.
+
+    Built by the ball recurrence on the balls of `jumps[1:]`, and kept in
+    the slot for its length: a later call with the same (n, jumps) extends
+    the list instead of rebuilding it. Once a ball stops growing, the list
+    is padded with it up to `depth`.
+    """
+    slot = _BALLS.get(len(jumps))
+    if slot is not None and slot[0] == n and slot[1] == jumps:
+        balls = slot[2]
+        if len(balls) > depth:
+            return balls
+    else:
+        for s in jumps:
+            _check_jump(n, s)
+        balls = [1]
+        _BALLS[len(jumps)] = (n, jumps, balls)
+    if not jumps:
+        balls.extend([1] * (depth + 1 - len(balls)))
+        return balls
+    base = _balls(n, jumps[1:], depth)
+    s = jumps[0]
+    t = n - s
+    full = (1 << n) - 1
+    ball = balls[-1]
+    for d in range(len(balls), depth + 1):
+        wrapped = ball | (ball << n)
+        grown = (base[d] | (wrapped >> s) | (wrapped >> t)) & full
+        if grown == ball:
+            balls.extend([ball] * (depth + 1 - d))
+            break
+        balls.append(grown)
+        ball = grown
+    return balls
+
+
 def circulant_distance_profile(
     n: int, jumps: tuple[int, ...], bound: tuple[int, int] | None = None
 ) -> tuple[int, int] | None:
     """(diameter, distance sum) from vertex 0 of a circulant, or None if it is
-    disconnected or provably worse than `bound`.
+    disconnected or provably worse than `bound`. Raises ValueError for a
+    jump outside [1, n - 1].
 
-    This is the search's scan kernel. The frontier is one n-bit integer; the
-    frontier doubled into 2n bits turns each left or right rotation by a
-    jump into a single right shift, and the unvisited mask strips both the
-    wrapped-around high bits and the vertices already reached.
+    This is the search's scan kernel. The ball B_d of radius d around
+    vertex 0 is one n-bit integer, and for any jump s
+        B_d(S) = B_d(S - {s}) | (B_{d-1}(S) + s) | (B_{d-1}(S) - s),
+    since a shortest word either avoids +-s or drops one +-s step. With
+    s = jumps[0] and the balls of jumps[1:] taken from a cache (see
+    `_balls`), each level costs one rotation pair of the previous ball,
+    doubled into 2n bits so that both rotations are right shifts, one OR
+    and one mask, whatever the degree. The search passes its
+    fastest-changing jump first, so runs of consecutive candidates share
+    jumps[1:] and its cached balls. Those are built only to the depth the
+    bound can need, min(best_d, n).
 
     `bound` is a running best (best_d, best_s). Before each level is
     expanded, while some vertex is unreached, the candidate is dropped when
@@ -165,34 +224,37 @@ def circulant_distance_profile(
     vertex lands on level best_d and that already gives a distance sum above
     best_s. Both tests are strict, so a profile equal to the bound (a tie) is
     returned exactly; a profile lexicographically above it always gives None.
+    The result does not depend on the order of `jumps`.
     """
-    if n == 1:
-        return (0, 0) if bound is None or (0, 0) <= bound else None
+    if not jumps:
+        # Only the one-vertex graph is connected without a jump.
+        return (0, 0) if n == 1 and (bound is None or (0, 0) <= bound) else None
+    s = jumps[0]
+    _check_jump(n, s)
     # Without a bound, best_d = n never triggers: the diameter is below n.
     best_d, best_s = (n, 0) if bound is None else bound
-    unvisited = (1 << n) - 2
-    frontier = 1
+    depth = min(best_d, n)
+    base = _balls(n, jumps[1:], depth)
+    t = n - s
+    full = (1 << n) - 1
+    ball = 1
     reached = 1
-    d = 0
     total = 0
-    while True:
-        if d + 1 >= best_d and (d >= best_d or total + best_d * (n - reached) > best_s):
+    # Levels past min(best_d, n) are never needed: below n the diameter
+    # would exceed best_d, and a connected circulant has diameter < n.
+    for d in range(1, depth + 1):
+        if d == best_d and total + d * (n - reached) > best_s:
             return None
-        wrapped = frontier | (frontier << n)
-        nxt = 0
-        for s in jumps:
-            nxt |= (wrapped >> s) | (wrapped >> (n - s))
-        new = nxt & unvisited
-        if not new:
+        wrapped = ball | (ball << n)
+        ball = (base[d] | (wrapped >> s) | (wrapped >> t)) & full
+        count = ball.bit_count()
+        if count == reached:
             return None
-        d += 1
-        count = new.bit_count()
-        total += d * count
-        reached += count
+        total += d * (count - reached)
+        reached = count
         if reached == n:
             return d, total
-        unvisited ^= new
-        frontier = new
+    return None
 
 
 def diameter_mpl(t: Topology) -> tuple[int, Fraction, Fraction]:

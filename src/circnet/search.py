@@ -19,12 +19,17 @@ maximum-width ties are returned.
 Hot path: every candidate goes through the one circulant BFS kernel,
 `metrics.circulant_distance_profile`, bounded by the running best; it is
 also the only connectivity test (a disconnected set returns None). The
-kernel abandons a candidate before the level that proves it worse, and the
-test is strict, so every tie is measured in full. Only the amount of pruning
-depends on the running best, never which jump sets are kept, which is why
-the outcome stays independent of chunking and order. On one core of a
-2-vCPU Xeon host (Python 3.11) a full-space scan runs at about 140-180k
-graphs/s at (255, 6) and (257, 6) and 225-240k at (127, 8).
+kernel grows a candidate's balls from the cached balls of all its jumps
+but the first, so the scan passes the free jumps first, the one that
+changes fastest in co-lex order leading: consecutive candidates then share
+the cached balls. The kernel abandons a candidate before the level that
+proves it worse, and the test is strict, so every tie is measured in full.
+Only the amount of pruning depends on the running best, never which jump
+sets are kept, which is why the outcome stays independent of chunking and
+order. On one core of a 2-vCPU Xeon host (Python 3.11) a full-space scan
+runs at about 170-205k graphs/s at (255, 6) and (257, 6) and 235-270k at
+(127, 8); at (1024, 10), with (5, 4166) as the running best, about
+140-220k, so its 2.79e9 candidates take about 3.5-5.5 core-hours.
 
 Checkpoints are JSON lines, one `_RangeState` per range; a resumed run
 continues each range from its cursor. A loaded checkpoint is not trusted:
@@ -179,6 +184,8 @@ def _scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _Rang
     the running best as its bound, which is also the one connectivity test:
     it returns a profile only for a new best or a tie, never for a
     disconnected jump set, and only then is the jump set made a sorted tuple.
+    The jumps go in as (*elems, *fixed), so the kernel's cached balls of
+    jumps[1:] change only when elems[0] wraps around.
     """
     t0 = time.perf_counter()
     start = st.cursor
@@ -190,7 +197,7 @@ def _scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _Rang
     out = list(st.candidates)
     idx = start
     while True:
-        jumps = fixed + tuple(elems)
+        jumps = (*elems, *fixed)
         profile = circulant_distance_profile(n, jumps, bound)
         if profile is not None:
             if profile == bound:

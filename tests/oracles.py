@@ -9,9 +9,11 @@ each hop's demand to a dict; `kl_refine` calls the dense `_best_swap`
 on every step and updates D by a whole weight-matrix row per moved vertex;
 `contract` picks each mate by scanning a masked dense weight row;
 `best_balanced_side` runs every restart and every perturbation round, with
-no lower bound to stop at; and
+no lower bound to stop at;
 `cartesian_product`, `torus` and `hypercube` build products as a binary fold
-with (u, v) -> u * b.n + v arithmetic of their own.
+with (u, v) -> u * b.n + v arithmetic of their own; and
+`circulant_distance_profile` expands each BFS frontier by two shifts per
+jump, with no ball cache.
 """
 
 import random
@@ -32,6 +34,53 @@ from circnet.metrics import (
 from circnet.routing import _first_hops_from_zero
 from circnet.topology import Topology, complete, mixed_radix, ring
 from circnet.traffic import LoadReport, TrafficPattern
+
+
+def circulant_distance_profile(
+    n: int, jumps: tuple[int, ...], bound: tuple[int, int] | None = None
+) -> tuple[int, int] | None:
+    """(diameter, distance sum) from vertex 0 of a circulant, or None if it is
+    disconnected or provably worse than `bound`.
+
+    This is the search's scan kernel. The frontier is one n-bit integer; the
+    frontier doubled into 2n bits turns each left or right rotation by a
+    jump into a single right shift, and the unvisited mask strips both the
+    wrapped-around high bits and the vertices already reached.
+
+    `bound` is a running best (best_d, best_s). Before each level is
+    expanded, while some vertex is unreached, the candidate is dropped when
+    its diameter must exceed best_d (d >= best_d), or when every unreached
+    vertex lands on level best_d and that already gives a distance sum above
+    best_s. Both tests are strict, so a profile equal to the bound (a tie) is
+    returned exactly; a profile lexicographically above it always gives None.
+    """
+    if n == 1:
+        return (0, 0) if bound is None or (0, 0) <= bound else None
+    # Without a bound, best_d = n never triggers: the diameter is below n.
+    best_d, best_s = (n, 0) if bound is None else bound
+    unvisited = (1 << n) - 2
+    frontier = 1
+    reached = 1
+    d = 0
+    total = 0
+    while True:
+        if d + 1 >= best_d and (d >= best_d or total + best_d * (n - reached) > best_s):
+            return None
+        wrapped = frontier | (frontier << n)
+        nxt = 0
+        for s in jumps:
+            nxt |= (wrapped >> s) | (wrapped >> (n - s))
+        new = nxt & unvisited
+        if not new:
+            return None
+        d += 1
+        count = new.bit_count()
+        total += d * count
+        reached += count
+        if reached == n:
+            return d, total
+        unvisited ^= new
+        frontier = new
 
 
 def all_to_all_flows(n: int) -> tuple[tuple[int, int, int], ...]:

@@ -183,6 +183,102 @@ class TestCirculantProfile:
         assert circulant_distance_profile(1, (), (0, 0)) == (0, 0)
 
 
+@st.composite
+def st_circulant_case(draw):
+    """(n, jumps) with n in [1, 300] and 0 to 5 jumps in [1, n - 1], n/2
+    drawn often when n is even."""
+    n = draw(st.integers(1, 300))
+    if n == 1:
+        return n, ()
+    jump = st.integers(1, n - 1)
+    if n % 2 == 0:
+        jump = st.one_of(st.just(n // 2), jump)
+    return n, tuple(draw(st.lists(jump, max_size=5)))
+
+
+class TestBallKernel:
+    """The ball-recurrence kernel against the per-jump frontier kernel it
+    replaced (`oracles.circulant_distance_profile`)."""
+
+    @given(st_circulant_case(), st.integers(-2, 2), st.integers(-6, 6))
+    def test_matches_frontier_kernel_in_every_jump_order(self, case, dd, ds):
+        n, jumps = case
+        bounds = [None, (-1, 0), (0, 0), (0, 10**6), (n + 1, 0), (n + 5, n * n)]
+        profile = oracles.circulant_distance_profile(n, jumps)
+        if profile is not None:
+            bounds.append((profile[0] + dd, profile[1] + ds))
+        for order in set(itertools.permutations(jumps)):
+            for bound in bounds:
+                want = oracles.circulant_distance_profile(n, order, bound)
+                assert circulant_distance_profile(n, order, bound) == want, (order, bound)
+
+    @given(st.data())
+    def test_interleaved_calls_never_read_stale_balls(self, data):
+        # A few sizes and a few jumps valid at all of them, so consecutive
+        # calls share jumps[1:] at one n, then meet it again at another n or
+        # with a bound that needs deeper balls than the cached ones.
+        ns = data.draw(st.lists(st.integers(3, 300), min_size=2, max_size=3, unique=True))
+        pool = data.draw(
+            st.lists(st.integers(1, min(ns) - 1), min_size=2, max_size=4, unique=True)
+        )
+        calls = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(ns),
+                    st.lists(st.sampled_from(pool), min_size=1, max_size=4),
+                    st.integers(-1, 3),
+                ),
+                min_size=2,
+                max_size=30,
+            )
+        )
+        for n, jumps, dd in calls:
+            jumps = tuple(jumps)
+            profile = oracles.circulant_distance_profile(n, jumps)
+            if dd < 0:
+                bound = None
+            elif profile is None:
+                bound = (n + dd, n * n)
+            else:
+                bound = (profile[0] - 1 + dd, profile[1])
+            want = oracles.circulant_distance_profile(n, jumps, bound)
+            assert circulant_distance_profile(n, jumps, bound) == want, (n, jumps, bound)
+
+    def test_same_rest_at_another_n_and_depth(self):
+        # jumps[1:] = (5, 7) at n = 64, at n = 65, then back at n = 64 with
+        # no bound, so the shallow balls cached first must be extended.
+        calls = [
+            (64, (3, 5, 7), (3, 10**6)),
+            (65, (2, 5, 7), None),
+            (64, (9, 5, 7), (4, 10**6)),
+            (64, (1, 5, 7), None),
+            (65, (1, 5, 7), (1, 0)),
+            (65, (11, 5, 7), None),
+        ]
+        for n, jumps, bound in calls:
+            want = oracles.circulant_distance_profile(n, jumps, bound)
+            assert circulant_distance_profile(n, jumps, bound) == want, (n, jumps, bound)
+
+    @pytest.mark.parametrize(
+        "n, jumps, bad",
+        [
+            (8, (1, 8), 8),
+            (8, (8, 1), 8),
+            (8, (0, 3), 0),
+            (8, (-1,), -1),
+            (8, (9,), 9),
+            (8, (3, 1, 12), 12),
+            (1, (1,), 1),
+        ],
+    )
+    def test_jump_outside_range_is_refused(self, n, jumps, bad):
+        # Also when the bound would drop the candidate before any level,
+        # and again after the refusal (nothing half-built is cached).
+        for bound in (None, (0, 0), (0, 0)):
+            with pytest.raises(ValueError, match=rf"jump {bad} is outside \[1, {n - 1}\]"):
+                circulant_distance_profile(n, jumps, bound)
+
+
 class TestDiameterMpl:
     def test_hypercube5(self):
         d, s, mpl = diameter_mpl(hypercube(5))

@@ -17,7 +17,7 @@ from hypothesis import assume, given, strategies as st
 
 from circnet import metrics, search
 from circnet.combinatorics import binomial
-from circnet.metrics import bisection_exact
+from circnet.metrics import DEFAULT_RESTARTS, bisection_exact
 from circnet.search import (
     CheckpointError,
     RankRange,
@@ -247,23 +247,29 @@ class TestSearchOptimal:
 class TestChunkingIndependence:
     def test_records_identical_for_any_chunking_and_workers(self, tmp_path):
         # (35, 6) has 106 ties; chunk sizes of 1 and 7 restart the bounded
-        # kernel from many different running bests.
-        outputs = {}
-        for every in (1, 7, SearchConfig().checkpoint_every):
-            for workers in (1, 3):
-                records, merged = run_search(
-                    35, 6, SearchConfig(workers=workers, checkpoint_every=every)
-                )
-                out = tmp_path / f"r{every}-{workers}.jsonl"
-                write_results(out, records)
-                outputs[(every, workers)] = (
-                    records, merged.best_diameter, merged.best_dist_sum,
-                    merged.candidates, out.read_bytes(),
-                )
-        assert len(outputs[(1, 1)][0]) == 106
-        first = outputs[(1, 1)]
-        for key, got in outputs.items():
-            assert got == first, key
+        # kernel from many different running bests. (64, 7) fixes jumps 1
+        # and 32, which the scan passes last, so the kernel's cached balls
+        # of jumps[1:] end in them; chunks of 1 and 7 start inside runs of
+        # candidates that share those balls. Four restarts keep its
+        # bisections (n = 64) quick.
+        for n, k, restarts, ties in ((35, 6, DEFAULT_RESTARTS, 106), (64, 7, 4, 8)):
+            outputs = {}
+            for every in (1, 7, SearchConfig().checkpoint_every):
+                for workers in (1, 3):
+                    records, merged = run_search(
+                        n, k,
+                        SearchConfig(workers=workers, checkpoint_every=every, restarts=restarts),
+                    )
+                    out = tmp_path / f"{n}-{k}-r{every}-{workers}.jsonl"
+                    write_results(out, records)
+                    outputs[(every, workers)] = (
+                        records, merged.best_diameter, merged.best_dist_sum,
+                        merged.candidates, out.read_bytes(),
+                    )
+            assert len(outputs[(1, 1)][0]) == ties
+            first = outputs[(1, 1)]
+            for key, got in outputs.items():
+                assert got == first, (n, k, key)
 
 
 def _forged(tmp_path, best_d, best_s, candidates):
