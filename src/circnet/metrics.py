@@ -257,6 +257,31 @@ def circulant_distance_profile(
     return None
 
 
+def group_floor(n: int, tail: tuple[int, ...], depth: int) -> tuple[int, int]:
+    """A floor (floor_d, floor_s) on the diameter and on the distance sum of
+    the circulant with jumps (s, *tail), which holds for every s at once.
+
+    It counts the cached balls of `tail` (see `_balls`). Since
+    B_d(tail + {s}) is the union over |j| <= d of B_{d-|j|}(tail) + j*s,
+    |B_d| <= U_d = |B_d(tail)| + 2 * sum_{i<d} |B_i(tail)|. So the diameter
+    is at least the first d with U_d >= n, and the distance sum,
+    sum_d (n - |B_d|), is at least sum_d (n - U_d) over the d with U_d < n.
+    Only levels up to `depth` are counted: if U_depth < n, the result is
+    (depth + 1, the partial sum), still a floor on both.
+    """
+    balls = _balls(n, tail, depth)
+    total = 0
+    inner = 0
+    for d in range(depth + 1):
+        count = balls[d].bit_count()
+        reach = count + 2 * inner
+        if reach >= n:
+            return d, total
+        total += n - reach
+        inner += count
+    return depth + 1, total
+
+
 def diameter_mpl(t: Topology) -> tuple[int, Fraction, Fraction]:
     """(diameter, per-source distance sum, mean path length).
 

@@ -4,7 +4,8 @@ The free-jump combinations of a (n, k) space are totally ordered co-lex and
 split into one rank range per worker. A range's running best is one
 `_RangeState` (cursor, minimum (diameter, distance sum), every jump set that
 attains it); `_scan_chunk` advances it by unranking the cursor and walking
-successors. Merging partial results is associative and commutative, so the
+co-lex groups, the runs of candidates that share all free jumps but the
+smallest. Merging partial results is associative and commutative, so the
 outcome is identical for any worker count, chunking, or checkpoint/resume
 boundary.
 
@@ -21,15 +22,19 @@ Hot path: every candidate goes through the one circulant BFS kernel,
 also the only connectivity test (a disconnected set returns None). The
 kernel grows a candidate's balls from the cached balls of all its jumps
 but the first, so the scan passes the free jumps first, the one that
-changes fastest in co-lex order leading: consecutive candidates then share
-the cached balls. The kernel abandons a candidate before the level that
-proves it worse, and the test is strict, so every tie is measured in full.
-Only the amount of pruning depends on the running best, never which jump
-sets are kept, which is why the outcome stays independent of chunking and
-order. On one core of a 2-vCPU Xeon host (Python 3.11) a full-space scan
-runs at about 170-205k graphs/s at (255, 6) and (257, 6) and 235-270k at
-(127, 8); at (1024, 10), with (5, 4166) as the running best, about
-140-220k, so its 2.79e9 candidates take about 3.5-5.5 core-hours.
+changes fastest in co-lex order leading: the candidates of one co-lex
+group then share the cached balls of their tail. Those balls also give
+`metrics.group_floor`, a floor on (diameter, distance sum) that holds for
+every candidate of the group at once; a group whose floor is above the
+running best is skipped whole. The kernel abandons a candidate before the
+level that proves it worse. Both tests are strict, so every tie is
+measured in full. Only the amount of pruning depends on the running best,
+never which jump sets are kept, which is why the outcome stays independent
+of chunking and order. On one core of a 2-vCPU Xeon host (Python 3.11) a
+full-space scan runs at about 270-280k graphs/s at (255, 6), 230-255k at
+(257, 6) and 435-475k at (127, 8); at (1024, 10), with (5, 4166) as the
+running best, about 335-470k from ranks 1e9 and 2e9 and 480-500k averaged
+over the space, so its 2.79e9 candidates take about 1.6-2.3 core-hours.
 
 Checkpoints are JSON lines, one `_RangeState` per range; a resumed run
 continues each range from its cursor. A loaded checkpoint is not trusted:
@@ -56,6 +61,7 @@ from .metrics import (
     available_cores,
     circulant_distance_profile,
     compute_metrics,
+    group_floor,
 )
 # perfbench/tracing.py patches these by attribute on this module
 from .metrics import bisection_exact, bisection_heuristic  # noqa: F401
@@ -180,34 +186,52 @@ class _RangeState:
 def _scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _RangeState:
     """Advance a range's running best over co-lex ranks [st.cursor, end).
 
-    Hot path: each candidate goes through `circulant_distance_profile` with
-    the running best as its bound, which is also the one connectivity test:
-    it returns a profile only for a new best or a tie, never for a
-    disconnected jump set, and only then is the jump set made a sorted tuple.
-    The jumps go in as (*elems, *fixed), so the kernel's cached balls of
-    jumps[1:] change only when elems[0] wraps around.
+    The ranks are walked one co-lex group at a time: the run of candidates
+    that share elems[1:], in which s = elems[0] runs over [lo, elems[1]), or
+    over [lo, hi] when only one jump is free. The first and last group are
+    cut at st.cursor and `end`. Once the range has a running best, a group
+    whose `group_floor` over the shared balls of tail = (*elems[1:], *fixed)
+    is above that best cannot hold a new best or a tie, so it is skipped
+    whole; its candidates still count as scanned.
+
+    Every other candidate goes through `circulant_distance_profile` as
+    (s, *tail), with the running best as its bound, which is also the one
+    connectivity test: it returns a profile only for a new best or a tie,
+    never for a disconnected jump set, and only then is the jump set made a
+    sorted tuple. The floor test is strict, like the kernel's, so every tie
+    is still measured.
     """
     t0 = time.perf_counter()
     start = st.cursor
     if end <= start:
         return st
-    fixed, lo, hi = plan.fixed, plan.lo, plan.hi
-    elems = unrank_elements(start, lo, hi, plan.r)
+    fixed, lo, hi, r = plan.fixed, plan.lo, plan.hi, plan.r
+    elems = unrank_elements(start, lo, hi, r)
     bound = None if st.best_d is None else (st.best_d, st.best_s)
     out = list(st.candidates)
     idx = start
     while True:
-        jumps = (*elems, *fixed)
-        profile = circulant_distance_profile(n, jumps, bound)
-        if profile is not None:
-            if profile == bound:
-                out.append(tuple(sorted(jumps)))
-            else:
-                bound = profile
-                out = [tuple(sorted(jumps))]
-        idx += 1
+        if r:
+            s0 = elems[0]
+            top = min(elems[1] if r > 1 else hi + 1, s0 + end - idx)
+            tail = (*elems[1:], *fixed)
+        else:
+            # The space's one candidate is the fixed jump set.
+            s0, top, tail = fixed[0], fixed[0] + 1, fixed[1:]
+        if bound is None or group_floor(n, tail, min(bound[0], n)) <= bound:
+            for s in range(s0, top):
+                profile = circulant_distance_profile(n, (s, *tail), bound)
+                if profile is not None:
+                    jumps = tuple(sorted((s, *tail)))
+                    if profile == bound:
+                        out.append(jumps)
+                    else:
+                        bound = profile
+                        out = [jumps]
+        idx += top - s0
         if idx >= end:
             break
+        elems[0] = top - 1
         if not successor_inplace(elems, lo, hi):
             raise AssertionError("combination space exhausted before end rank")
     best_d, best_s = (None, None) if bound is None else bound

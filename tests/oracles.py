@@ -11,18 +11,21 @@ on every step and updates D by a whole weight-matrix row per moved vertex;
 `best_balanced_side` runs every restart and every perturbation round, with
 no lower bound to stop at;
 `cartesian_product`, `torus` and `hypercube` build products as a binary fold
-with (u, v) -> u * b.n + v arithmetic of their own; and
+with (u, v) -> u * b.n + v arithmetic of their own;
 `circulant_distance_profile` expands each BFS frontier by two shifts per
-jump, with no ball cache.
+jump, with no ball cache; and `scan_chunk` measures every candidate of a
+rank range in co-lex order, with no group floor.
 """
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
+from circnet.combinatorics import successor_inplace, unrank_elements
 from circnet.metrics import (
     _ILS_ROUNDS,
     _best_swap,
@@ -32,7 +35,8 @@ from circnet.metrics import (
     _WorkGraph,
 )
 from circnet.routing import _first_hops_from_zero
-from circnet.topology import Topology, complete, mixed_radix, ring
+from circnet.search import _RangeState
+from circnet.topology import JumpSpacePlan, Topology, complete, mixed_radix, ring
 from circnet.traffic import LoadReport, TrafficPattern
 
 
@@ -81,6 +85,41 @@ def circulant_distance_profile(
             return d, total
         unvisited ^= new
         frontier = new
+
+
+def scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _RangeState:
+    """`search._scan_chunk` as a plain co-lex loop: unrank the cursor, then
+    measure every candidate in turn, (*elems, *fixed), with the running best
+    as the kernel's bound, and step to its co-lex successor. No group is
+    ever skipped.
+    """
+    t0 = time.perf_counter()
+    start = st.cursor
+    if end <= start:
+        return st
+    fixed, lo, hi = plan.fixed, plan.lo, plan.hi
+    elems = unrank_elements(start, lo, hi, plan.r)
+    bound = None if st.best_d is None else (st.best_d, st.best_s)
+    out = list(st.candidates)
+    idx = start
+    while True:
+        jumps = (*elems, *fixed)
+        profile = circulant_distance_profile(n, jumps, bound)
+        if profile is not None:
+            if profile == bound:
+                out.append(tuple(sorted(jumps)))
+            else:
+                bound = profile
+                out = [tuple(sorted(jumps))]
+        idx += 1
+        if idx >= end:
+            break
+        if not successor_inplace(elems, lo, hi):
+            raise AssertionError("combination space exhausted before end rank")
+    best_d, best_s = (None, None) if bound is None else bound
+    return _RangeState(
+        st.rank_range, end, best_d, best_s, out, st.elapsed + time.perf_counter() - t0
+    )
 
 
 def all_to_all_flows(n: int) -> tuple[tuple[int, int, int], ...]:

@@ -279,6 +279,37 @@ class TestBallKernel:
                 circulant_distance_profile(n, jumps, bound)
 
 
+class TestGroupFloor:
+    """`metrics.group_floor` bounds (diameter, distance sum) for every jump
+    set (s, *tail) at once, so a group it puts above a bound holds no
+    member at or below that bound."""
+
+    @given(st_circulant_case(), st.data())
+    def test_no_member_at_or_below_a_bound_the_floor_exceeds(self, case, data):
+        n, tail = case
+        assume(n >= 2)
+        member = data.draw(st.integers(1, n - 1))
+        profile = oracles.circulant_distance_profile(n, (member, *tail))
+        assume(profile is not None)
+        # at, just above or just below the member's own profile
+        dd = data.draw(st.integers(-1, 1))
+        ds = data.draw(st.integers(-3, 3))
+        bound = (profile[0] + dd, profile[1] + ds)
+        if metrics.group_floor(n, tail, min(bound[0], n)) > bound:
+            # s and n - s give the same graph
+            for s in range(1, n // 2 + 1):
+                assert oracles.circulant_distance_profile(n, (s, *tail), bound) is None, s
+
+    def test_tight_at_the_degree_four_moore_bound(self):
+        # {1, 5} on 13 vertices reaches 4 vertices at distance 1 and the
+        # other 8 at distance 2, the most any 4-regular circulant can: every
+        # U_d of tail (1,) is a true ball size, so the floor is attained.
+        assert oracles.circulant_distance_profile(13, (5, 1)) == (2, 20)
+        assert metrics.group_floor(13, (1,), 2) == (2, 20)
+        assert metrics.group_floor(13, (1,), 1) == (2, 20)
+        assert metrics.group_floor(13, (1,), 0) == (1, 12)
+
+
 class TestDiameterMpl:
     def test_hypercube5(self):
         d, s, mpl = diameter_mpl(hypercube(5))

@@ -13,8 +13,9 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+import oracles
 from circnet import metrics, search
 from circnet.combinatorics import binomial
 from circnet.metrics import DEFAULT_RESTARTS, bisection_exact
@@ -154,6 +155,55 @@ class TestScanRange:
             p for j in all_jump_sets(20, 4) if (p := bfs_profile_oracle(20, j))
         )
         assert (res.best_diameter, res.best_dist_sum) == oracle_best
+
+
+@st.composite
+def st_scan_case(draw):
+    """(n, k, reduced, start, stop, cursor, end): a feasible space with
+    n <= 64, a rank range [start, stop) of at most 300 ranks in it, a
+    cursor the range has been scanned up to, and a chunk end."""
+    n = draw(st.integers(4, 64))
+    k = draw(st.integers(3, min(n - 1, 8)))
+    assume(k % 2 == 0 or n % 2 == 0)
+    reduced = draw(st.booleans())
+    size = jump_space(n, k, reduced).size
+    start = draw(st.integers(0, size))
+    stop = draw(st.integers(start, min(size, start + 300)))
+    cursor = draw(st.integers(start, stop))
+    end = draw(st.integers(cursor, stop))
+    return n, k, reduced, start, stop, cursor, end
+
+
+def _scan_fields(st_):
+    """Everything a `_RangeState` carries but its scan time."""
+    return st_.rank_range, st_.cursor, st_.best_d, st_.best_s, st_.candidates
+
+
+class TestGroupedScan:
+    """`search._scan_chunk`, which walks whole co-lex groups and skips those
+    its group floor rules out, against the per-candidate co-lex loop it
+    replaced (`oracles.scan_chunk`)."""
+
+    @given(st_scan_case())
+    # r = 0: the fixed set (1, 8) is the space's one candidate
+    @example((16, 3, True, 0, 1, 0, 1))
+    # r = 1: one free jump in [2, 7] beside the fixed jump 1
+    @example((16, 4, True, 0, 6, 2, 5))
+    # r = 1: one free jump in [1, 14] beside the fixed jump 15
+    @example((30, 3, True, 1, 14, 3, 11))
+    # r = 3: the range, the resumed cursor and the chunk end all mid-group
+    @example((40, 6, False, 17, 300, 24, 251))
+    def test_matches_per_candidate_loop(self, case):
+        n, k, reduced, start, stop, cursor, end = case
+        plan = jump_space(n, k, reduced)
+        fresh = _RangeState(RankRange(start, stop), start)
+        # The incoming state is what the plain loop leaves at the cursor, as
+        # a resume from a checkpoint written there would carry it.
+        resumed = oracles.scan_chunk(n, plan, fresh, cursor)
+        got = search._scan_chunk(n, plan, resumed, end)
+        assert _scan_fields(got) == _scan_fields(oracles.scan_chunk(n, plan, resumed, end))
+        got = search._scan_chunk(n, plan, got, stop)
+        assert _scan_fields(got) == _scan_fields(oracles.scan_chunk(n, plan, fresh, stop))
 
 
 class TestMerge:
