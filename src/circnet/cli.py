@@ -280,7 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--full-space", action="store_true", help="skip the fixed-jump-1 reduction")
+    p.add_argument(
+        "--full-space",
+        action="store_true",
+        help="for a power of two, return every optimal jump set, not only those with jump 1",
+    )
     p.add_argument("--out", help="results file, one JSON record per line")
     p.add_argument("--checkpoint", help="checkpoint file; resumed when present")
     p.add_argument("--checkpoint-every", type=int, default=SearchConfig.checkpoint_every)

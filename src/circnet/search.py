@@ -9,6 +9,21 @@ smallest. Merging partial results is associative and commutative, so the
 outcome is identical for any worker count, chunking, or checkpoint/resume
 boundary.
 
+When n is a prime power p^a, every jump that is not a unit is divisible by
+p, so a connected jump set (gcd(n, S) = 1) holds a unit s, and multiplying
+the set by s^-1 mod n (Adam's isomorphism) gives an isomorphic set that
+contains jump 1 and lies in the same space (the jump n/2 of an odd degree
+maps to itself). The scan therefore walks a *scan plan*: the requested
+plan with jump 1 pinned and r - 1 free jumps drawn from [2, hi], when n is
+a prime power and the requested plan leaves jump 1 free, and otherwise the
+requested plan itself. Its best is the space's best, and the space's ties
+are the unit multiples of the scan plan's ties that lie in the requested
+plan; `_unit_closure` recovers them after the merge. For the reduced
+power-of-two plan, which already pins jump 1, and for any other n, that
+closure returns the ties unchanged. The merged `scanned` counts every
+candidate of the requested space: those measured, those in skipped
+groups, and those that are unit multiples of a pinned one.
+
 Survivors are grouped into unit-multiplication classes, and each class is
 measured once by `metrics.compute_metrics` on its canonical representative:
 an independent BFS re-measures the diameter and distance sum (a class that
@@ -36,11 +51,12 @@ full-space scan runs at about 270-280k graphs/s at (255, 6), 230-255k at
 running best, about 335-470k from ranks 1e9 and 2e9 and 480-500k averaged
 over the space, so its 2.79e9 candidates take about 1.6-2.3 core-hours.
 
-Checkpoints are JSON lines, one `_RangeState` per range; a resumed run
-continues each range from its cursor. A loaded checkpoint is not trusted:
-every field must have its JSON type (integral ranks, a boolean `reduced`),
-and every carried candidate must lie in the search space and re-measure to
-its range's best.
+Checkpoints are JSON lines, one `_RangeState` per range over the ranks of
+the scan plan; a resumed run continues each range from its cursor. A
+loaded checkpoint is not trusted: every field must have its JSON type
+(integral ranks, a boolean `reduced`), its total must be the scan plan's
+size, and every carried candidate must lie in the scan plan (a pinned one
+contains jump 1) and re-measure to its range's best.
 """
 
 from __future__ import annotations
@@ -50,7 +66,7 @@ import math
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .combinatorics import successor_inplace, unrank_elements
@@ -139,6 +155,57 @@ def count_space(n: int, k: int, reduced: bool = True) -> int:
     """Size of the free-choice combination space for (n, k)."""
     plan = jump_space(n, k, reduced)
     return plan.size
+
+
+def _is_prime_power(n: int) -> bool:
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _scan_plan(n: int, plan: JumpSpacePlan) -> JumpSpacePlan:
+    """The plan the scan walks for the space `plan`: `plan` with jump 1
+    pinned when n is a prime power and `plan` leaves jump 1 free (see the
+    module docstring), else `plan` itself."""
+    if plan.lo == 1 and plan.r > 0 and _is_prime_power(n):
+        return JumpSpacePlan(tuple(sorted((*plan.fixed, 1))), 2, plan.hi, plan.r - 1)
+    return plan
+
+
+def _in_plan(plan: JumpSpacePlan, c: tuple) -> bool:
+    """Whether `c` is a jump set of `plan`: distinct integers, every fixed
+    jump, and r more in [lo, hi]."""
+    fixed = set(plan.fixed)
+    return (
+        all(type(s) is int for s in c)
+        and len(set(c)) == len(c) == len(fixed) + plan.r
+        and fixed <= set(c)
+        and all(plan.lo <= s <= plan.hi for s in set(c) - fixed)
+    )
+
+
+def _unit_closure(
+    n: int, plan: JumpSpacePlan, ties: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Every jump set of `plan` that is a unit multiple of a tie, sorted.
+
+    Each jump s maps to min(u*s mod n, n - u*s mod n) for each unit u; u and
+    n - u give the same image, so u runs over [1, n/2]. Unit multiples
+    generate isomorphic circulants, so every image ties. A tie already
+    reached as an image shares its orbit with an earlier tie and is not
+    multiplied again.
+    """
+    units = [u for u in range(1, n // 2 + 1) if math.gcd(u, n) == 1]
+    out: set[tuple[int, ...]] = set()
+    for c in ties:
+        if c in out:
+            continue
+        for u in units:
+            image = tuple(sorted(min(u * s % n, -u * s % n) for s in c))
+            if _in_plan(plan, image):
+                out.add(image)
+    return sorted(out)
 
 
 def partition_ranks(total: int, workers: int) -> list[RankRange]:
@@ -331,14 +398,8 @@ def _verify_state(st: _RangeState, n: int, plan: JumpSpacePlan) -> None:
     bound = (st.best_d, st.best_s)
     if not all(type(x) is int for x in bound):
         raise CheckpointError(f"range {st.rank_range}: best {bound} is not integral")
-    fixed = set(plan.fixed)
     for c in st.candidates:
-        if not (
-            all(type(s) is int for s in c)
-            and len(set(c)) == len(c) == len(fixed) + plan.r
-            and fixed <= set(c)
-            and all(plan.lo <= s <= plan.hi for s in set(c) - fixed)
-        ):
+        if not _in_plan(plan, c):
             raise CheckpointError(f"candidate {list(c)} is not in the search space")
         if circulant_distance_profile(n, c, bound) != bound:
             raise CheckpointError(
@@ -352,9 +413,11 @@ def load_checkpoint(
     """Parse and validate a checkpoint for the given search; raises
     CheckpointError on any corruption or mismatch.
 
-    A parseable checkpoint is not trusted: n, k, total, the range bounds and
-    the cursor must be JSON integers and `reduced` a boolean, and every
-    carried candidate is re-measured with the scan kernel (see
+    The ranges tile the ranks of the search's scan plan (`_scan_plan`), and
+    `total` is that plan's size. A parseable checkpoint is not trusted: n,
+    k, total, the range bounds and the cursor must be JSON integers and
+    `reduced` a boolean, and every carried candidate must be a jump set of
+    the scan plan and is re-measured with the scan kernel (see
     `_verify_state`).
     """
     try:
@@ -380,7 +443,9 @@ def load_checkpoint(
                 raise CheckpointError(
                     f"checkpoint is for (n={rec['n']}, k={rec['k']}, "
                     f"reduced={rec['reduced']}, total={rec['total']}), "
-                    f"not (n={n}, k={k}, reduced={reduced}, total={total})"
+                    f"not (n={n}, k={k}, reduced={reduced}, total={total}); "
+                    "totals count the ranks of the scan plan, which pins jump 1 "
+                    "when n is a prime power"
                 )
             rng = RankRange(rec["range"]["start"], rec["range"]["end"])
             cursor = rec["cursor_rank"]
@@ -417,7 +482,7 @@ def load_checkpoint(
         pos = st.rank_range.end
     if pos != total:
         raise CheckpointError("checkpoint ranges do not cover the space")
-    plan = jump_space(n, k, reduced)
+    plan = _scan_plan(n, jump_space(n, k, reduced))
     for st in states:
         _verify_state(st, n, plan)
     return states
@@ -473,27 +538,40 @@ def run_search(
 ) -> tuple[list[OptimalRecord], SearchResult]:
     """Full pipeline: count, partition, scan, merge, bisection filter.
 
-    Returns the optimal records plus the merged scan result (for progress
-    accounting and rate reporting). Results are identical for any worker
-    count and for any checkpoint/resume boundary.
+    The ranges are cut from the scan plan (`_scan_plan`); after the merge,
+    the ties are replaced by their unit closure in the requested plan, and
+    `scanned` counts the requested space. Returns the optimal records plus
+    the merged scan result (for progress accounting and rate reporting).
+    Results are identical for any worker count and for any checkpoint/resume
+    boundary.
     """
     config = config or SearchConfig()
     config.validate()
     plan = jump_space(n, k, config.reduced)
-    total = plan.size
+    scan = _scan_plan(n, plan)
 
     states: list[_RangeState] | None = None
     if config.checkpoint_path is not None and Path(config.checkpoint_path).exists():
-        states = load_checkpoint(config.checkpoint_path, n, k, config.reduced, total)
+        states = load_checkpoint(config.checkpoint_path, n, k, config.reduced, scan.size)
     if states is None:
-        ranges = partition_ranks(total, config.resolved_workers())
+        ranges = partition_ranks(scan.size, config.resolved_workers())
         states = [_RangeState(rank_range=r, cursor=r.start) for r in ranges]
 
-    _run_states(n, k, plan, states, config)
+    _run_states(n, k, scan, states, config)
     merged = merge([st.as_result(n, k) for st in states])
-    if merged.scanned != total:
-        raise AssertionError(f"scanned {merged.scanned} of {total} combinations")
+    if merged.scanned != scan.size:
+        raise AssertionError(f"scanned {merged.scanned} of {scan.size} combinations")
+    ties = _unit_closure(n, plan, [js.jumps for js in merged.candidates])
+    merged = replace(
+        merged, candidates=tuple(JumpSet(n, c) for c in ties), scanned=plan.size
+    )
+    return _optimal_records(n, k, merged, config), merged
 
+
+def _optimal_records(
+    n: int, k: int, merged: SearchResult, config: SearchConfig
+) -> list[OptimalRecord]:
+    """The maximum-width records among the merged ties, sorted by jump set."""
     # Every member of a unit-multiplication class is the same graph, so its
     # metrics are measured once, by `compute_metrics` on the canonical
     # representative. That BFS is independent of the scan kernel, and a class
@@ -520,8 +598,7 @@ def run_search(
         scored.append((class_metrics[rep.jumps], js))
     best_bw = max((m.bisection for m, _ in scored if m.bisection is not None), default=None)
     # merged.candidates is sorted by jump set, and so are the records
-    records = [OptimalRecord(n, k, js, m) for m, js in scored if m.bisection == best_bw]
-    return records, merged
+    return [OptimalRecord(n, k, js, m) for m, js in scored if m.bisection == best_bw]
 
 
 def search_optimal(

@@ -158,11 +158,16 @@ class JumpSpacePlan:
 def jump_space(n: int, k: int, reduced: bool = True) -> JumpSpacePlan:
     """Search-space shape for degree-k circulants on n vertices.
 
-    Odd k pins jump n/2 (and requires even n). When n is a power of two,
-    connectivity forces an odd jump, and multiplying by its modular inverse
-    yields an isomorphic jump set containing 1; `reduced` exploits that by
-    pinning jump 1 and drawing the rest from [2, (n-1)//2]. For other n the
-    flag is ignored and the full range [1, (n-1)//2] is searched.
+    Odd k pins jump n/2 (and requires even n). When n is a prime power p^a,
+    every jump that is not a unit mod n is divisible by p, so a connected
+    set (gcd(n, S) = 1) holds a unit, and multiplying the set by that unit's
+    inverse yields an isomorphic jump set containing 1 (n/2 maps to
+    itself). For a power of two, `reduced` exploits that by pinning jump 1
+    and drawing the rest from [2, (n-1)//2]; the space then holds only the
+    optimal sets that contain 1. For other n the flag is ignored and the
+    full range [1, (n-1)//2] is the space. `search.run_search` scans every
+    prime-power space with jump 1 pinned and recovers the sets without it
+    by unit multiplication.
     """
     if k < 3 or k >= n:
         raise InfeasibleDegreeError(f"need 3 <= k < n, got (n={n}, k={k})")

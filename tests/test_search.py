@@ -9,6 +9,7 @@ import json
 import os
 import tempfile
 from collections import deque
+from concurrent.futures import Future
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import assume, example, given, strategies as st
 
 import oracles
 from circnet import metrics, search
+from circnet.cli import EXIT_CHECKPOINT, main
 from circnet.combinatorics import binomial
 from circnet.metrics import DEFAULT_RESTARTS, bisection_exact
 from circnet.search import (
@@ -322,6 +324,123 @@ class TestChunkingIndependence:
                 assert got == first, (n, k, key)
 
 
+# Every prime power from 4 to 64 (3 has no feasible degree): the odd primes,
+# 9, 25, 27, 49 and the powers of two.
+_PRIME_POWERS = (
+    4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+    37, 41, 43, 47, 49, 53, 59, 61, 64,
+)
+
+
+@st.composite
+def st_prime_power_case(draw):
+    """(n, k, reduced, workers): a prime power n <= 64, a feasible odd or
+    even degree k, either at most 10 with a requested space of at most 1000
+    candidates or n - 2 or more (every jump but at most one), and 1 or 3
+    workers. `reduced` is ignored for odd n; for a power of two, False
+    leaves jump 1 free and True pins it already."""
+    n = draw(st.sampled_from(_PRIME_POWERS))
+    ks = [
+        k for k in range(3, n)
+        if (k % 2 == 0 or n % 2 == 0)
+        and (k <= 10 and jump_space(n, k, False).size <= 1000 or k >= n - 2)
+    ]
+    return n, draw(st.sampled_from(ks)), draw(st.booleans()), draw(st.sampled_from((1, 3)))
+
+
+class _InlinePool:
+    """Stands in for the scan's ProcessPoolExecutor: runs each submitted
+    chunk at once and hands back a finished future, so an example with 3
+    workers walks `_run_states`' pool path without starting a process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@lru_cache(maxsize=None)
+def _class_metrics(js, exact_limit, restarts, seed):
+    return metrics.compute_metrics(circulant(js), exact_limit, restarts, seed)
+
+
+def _remembered_metrics(t, exact_limit, restarts, seed, workers=None):
+    """`compute_metrics` measured once per class and setting over all the
+    examples, for both sides alike; it is deterministic, and the bisection
+    heuristic would otherwise take most of each example's time."""
+    return _class_metrics(t.jumps, exact_limit, restarts, seed)
+
+
+def _results_bytes(records) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "results.jsonl"
+        write_results(out, records)
+        return out.read_bytes()
+
+
+class TestPrimePowerPinning:
+    """For prime-power n, `run_search` scans the plan with jump 1 pinned and
+    recovers the rest of the ties by unit multiplication; the outcome must
+    be the full space's, scanned plainly and put through the same class
+    step."""
+
+    @given(st_prime_power_case())
+    # pinning leaves r = 0: the scan plan's one candidate is (1, 8)
+    @example((16, 3, False, 1))
+    @example((16, 3, False, 3))
+    # both plans hold one candidate, every jump of [1, 6] (the complete
+    # graph): the pinned plan draws all five free jumps of [2, 6]
+    @example((13, 12, False, 3))
+    # not prime powers: the scan plan is the requested plan; (3, 5, 6) is one
+    # of the 31 ties at (15, 6) and holds no unit, so pinning would lose it
+    @example((35, 6, False, 3))
+    @example((15, 4, False, 1))
+    @example((15, 6, True, 3))
+    def test_matches_full_space_scan(self, case):
+        n, k, reduced, workers = case
+        # One restart, and the heuristic from n = 17 up, keep examples quick;
+        # both sides get the same settings.
+        config = SearchConfig(
+            workers=workers, reduced=reduced, restarts=1, exact_bisection_limit=16
+        )
+        total = count_space(n, k, reduced)
+        full = merge([scan_range(n, k, r, reduced) for r in partition_ranks(total, workers)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "compute_metrics", _remembered_metrics)
+            want = search._optimal_records(n, k, full, config)
+            mp.setattr(search, "ProcessPoolExecutor", _InlinePool)
+            got, merged = run_search(n, k, config)
+        assert (merged.best_diameter, merged.best_dist_sum, merged.scanned) == (
+            full.best_diameter, full.best_dist_sum, total,
+        )
+        assert merged.candidates == full.candidates
+        assert _results_bytes(got) == _results_bytes(want)
+
+    @pytest.mark.parametrize(
+        "n, k, reduced, requested, scanned",
+        [
+            (257, 6, True, 341_376, 8_001),
+            (127, 8, True, 595_665, 37_820),
+            (255, 6, True, 333_375, 333_375),  # 255 = 3 * 5 * 17
+            (35, 6, False, 680, 680),
+            (1024, 10, False, binomial(511, 5), binomial(510, 4)),
+            (1024, 10, True, binomial(510, 4), binomial(510, 4)),
+        ],
+    )
+    def test_scan_plan_sizes(self, n, k, reduced, requested, scanned):
+        plan = jump_space(n, k, reduced)
+        assert (plan.size, search._scan_plan(n, plan).size) == (requested, scanned)
+
+
 def _forged(tmp_path, best_d, best_s, candidates):
     """A finished one-range (32, 4) checkpoint carrying the given best."""
     total = count_space(32, 4)
@@ -332,6 +451,77 @@ def _forged(tmp_path, best_d, best_s, candidates):
     ck = tmp_path / "ck.jsonl"
     save_checkpoint(ck, 32, 4, True, total, [state])
     return ck
+
+
+class _Interrupted(Exception):
+    """Stops a search part way, as a killed run would stop."""
+
+
+class TestPinnedCheckpoint:
+    """At n = 37, a prime, checkpoints hold the ranks of the scan plan: jump
+    1 pinned and two free jumps from [2, 18], C(17, 2) = 136 ranks, where
+    the requested space has C(18, 3) = 816."""
+
+    def test_full_space_checkpoint_refused_and_pinned_one_resumed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        plan = jump_space(37, 6)
+        assert (plan.size, search._scan_plan(37, plan).size) == (816, 136)
+        # A one-range checkpoint of the full space, walked up to rank 400.
+        walked = search._scan_chunk(37, plan, _RangeState(RankRange(0, 816), 0), 400)
+        stale = tmp_path / "full.jsonl"
+        save_checkpoint(stale, 37, 6, True, 816, [walked])
+        stale_bytes = stale.read_bytes()
+
+        real_scan = search._scan_chunk
+
+        def no_scan(*args):
+            raise AssertionError("a candidate was scanned")
+
+        monkeypatch.setattr(search, "_scan_chunk", no_scan)
+        with pytest.raises(CheckpointError, match=r"total=816\), not \(.*total=136\)"):
+            run_search(37, 6, SearchConfig(workers=1, checkpoint_path=stale))
+        rc = main(
+            ["search", "--n", "37", "--k", "6", "--workers", "1", "--checkpoint", str(stale)]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_CHECKPOINT and "total=816" in err and "total=136" in err
+        assert stale.read_bytes() == stale_bytes
+
+        # A pinned search stopped after five chunks of 10 ranks resumes to
+        # the bytes of an uninterrupted one.
+        calls = 0
+
+        def stop_after_five(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 5:
+                raise _Interrupted
+            return real_scan(*args)
+
+        ck = tmp_path / "pinned.jsonl"
+        config = SearchConfig(workers=1, checkpoint_every=10, checkpoint_path=ck)
+        monkeypatch.setattr(search, "_scan_chunk", stop_after_five)
+        with pytest.raises(_Interrupted):
+            run_search(37, 6, config)
+        (state,) = load_checkpoint(ck, 37, 6, True, 136)
+        assert state.cursor == 50 and state.candidates
+        assert all(1 in c for c in state.candidates)
+        monkeypatch.setattr(search, "_scan_chunk", real_scan)
+        resumed, merged = run_search(37, 6, config)
+        fresh, _ = run_search(37, 6, SearchConfig(workers=1))
+        assert merged.scanned == 816
+        assert _results_bytes(resumed) == _results_bytes(fresh)
+
+        # A genuine tie of the full space that lacks jump 1 is not a jump set
+        # of the scan plan.
+        unpinned = next(js.jumps for js in merged.candidates if 1 not in js.jumps)
+        forged = _RangeState(
+            RankRange(0, 136), 136, merged.best_diameter, merged.best_dist_sum, [unpinned]
+        )
+        save_checkpoint(ck, 37, 6, True, 136, [forged])
+        with pytest.raises(CheckpointError, match="not in the search space"):
+            run_search(37, 6, config)
 
 
 class TestCheckpointVerification:
