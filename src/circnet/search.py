@@ -9,20 +9,26 @@ smallest. Merging partial results is associative and commutative, so the
 outcome is identical for any worker count, chunking, or checkpoint/resume
 boundary.
 
-When n is a prime power p^a, every jump that is not a unit is divisible by
-p, so a connected jump set (gcd(n, S) = 1) holds a unit s, and multiplying
-the set by s^-1 mod n (Adam's isomorphism) gives an isomorphic set that
-contains jump 1 and lies in the same space (the jump n/2 of an odd degree
-maps to itself). The scan therefore walks a *scan plan*: the requested
-plan with jump 1 pinned and r - 1 free jumps drawn from [2, hi], when n is
-a prime power and the requested plan leaves jump 1 free, and otherwise the
-requested plan itself. Its best is the space's best, and the space's ties
-are the unit multiples of the scan plan's ties that lie in the requested
-plan; `_unit_closure` recovers them after the merge. For the reduced
-power-of-two plan, which already pins jump 1, and for any other n, that
-closure returns the ties unchanged. The merged `scanned` counts every
-candidate of the requested space: those measured, those in skipped
-groups, and those that are unit multiples of a pinned one.
+A connected jump set (gcd(n, S) = 1) either holds a unit s, and then
+multiplying the set by s^-1 mod n (Adam's isomorphism) gives an isomorphic
+set that contains jump 1 and lies in the same space (the jump n/2 of an odd
+degree maps to itself), or draws all its free jumps from the non-units. So
+when the requested plan leaves jump 1 free, the scan walks a *scan plan* of
+two parts that share one rank space: the *pinned* plan, the requested plan
+with jump 1 pinned and r - 1 free jumps from [2, hi], takes ranks [0, P),
+and the *unit-free* plan, the same fixed jumps and r free jumps from the
+non-units in [lo, hi], takes ranks [P, P + Q). The unit-free plan is
+dropped when gcd(n, fixed, non-units) > 1, since then none of its sets is
+connected; that holds for every prime power p^a, whose non-units are all
+divisible by p. For (255, 6), 255 = 3 * 5 * 17, the scan plan holds 7,875 +
+C(63, 3) = 47,586 candidates instead of 333,375. A requested plan that
+already pins jump 1 (the reduced power-of-two plan) is the scan plan
+itself. The scan plan's best is the space's best, and the space's ties are
+the unit multiples of the scan plan's ties that lie in the requested plan;
+`_unit_closure` recovers them after the merge (a unit multiple of a
+unit-free tie is unit-free, so it is a tie already). The merged `scanned`
+counts every candidate of the requested space: those measured, those in
+skipped groups, and those that are unit multiples of a scanned one.
 
 Survivors are grouped into unit-multiplication classes, and each class is
 measured once by `metrics.compute_metrics` on its canonical representative:
@@ -46,17 +52,19 @@ level that proves it worse. Both tests are strict, so every tie is
 measured in full. Only the amount of pruning depends on the running best,
 never which jump sets are kept, which is why the outcome stays independent
 of chunking and order. On one core of a 2-vCPU Xeon host (Python 3.11) a
-full-space scan runs at about 270-280k graphs/s at (255, 6), 230-255k at
-(257, 6) and 435-475k at (127, 8); at (1024, 10), with (5, 4166) as the
-running best, about 335-470k from ranks 1e9 and 2e9 and 480-500k averaged
-over the space, so its 2.79e9 candidates take about 1.6-2.3 core-hours.
+full-space `scan_range` runs at about 270-335k graphs/s at (255, 6),
+230-300k at (257, 6) and 360-475k at (127, 8); at (1024, 10), with
+(5, 4166) as the running best, about 335-470k from ranks 1e9 and 2e9 and
+480-500k averaged over the space, so its 2.79e9 candidates take about
+1.6-2.3 core-hours.
 
 Checkpoints are JSON lines, one `_RangeState` per range over the ranks of
 the scan plan; a resumed run continues each range from its cursor. A
 loaded checkpoint is not trusted: every field must have its JSON type
 (integral ranks, a boolean `reduced`), its total must be the scan plan's
-size, and every carried candidate must lie in the scan plan (a pinned one
-contains jump 1) and re-measure to its range's best.
+size, and every carried candidate must lie in one of the scan plan's parts
+(a pinned one contains jump 1, a unit-free one has only non-units as free
+jumps) and re-measure to its range's best.
 """
 
 from __future__ import annotations
@@ -69,7 +77,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .combinatorics import successor_inplace, unrank_elements
+from .combinatorics import binomial, successor_inplace, unrank_elements
 from .metrics import (
     DEFAULT_EXACT_LIMIT,
     DEFAULT_RESTARTS,
@@ -157,31 +165,56 @@ def count_space(n: int, k: int, reduced: bool = True) -> int:
     return plan.size
 
 
-def _is_prime_power(n: int) -> bool:
-    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-    while n % p == 0:
-        n //= p
-    return n == 1
+@dataclass(frozen=True)
+class _GroundPlan:
+    """A plan whose r free jumps are drawn from an explicit ground tuple,
+    walked co-lex over indices into it like a `JumpSpacePlan` over its
+    `ground` range."""
+
+    fixed: tuple[int, ...]
+    ground: tuple[int, ...]
+    r: int
+
+    @property
+    def size(self) -> int:
+        return binomial(len(self.ground), self.r)
 
 
-def _scan_plan(n: int, plan: JumpSpacePlan) -> JumpSpacePlan:
-    """The plan the scan walks for the space `plan`: `plan` with jump 1
-    pinned when n is a prime power and `plan` leaves jump 1 free (see the
-    module docstring), else `plan` itself."""
-    if plan.lo == 1 and plan.r > 0 and _is_prime_power(n):
-        return JumpSpacePlan(tuple(sorted((*plan.fixed, 1))), 2, plan.hi, plan.r - 1)
-    return plan
+@dataclass(frozen=True)
+class _ScanPlan:
+    """Plans that share one rank space: the ranks of `parts[0]` come first,
+    then those of `parts[1]`, and so on."""
+
+    parts: tuple[JumpSpacePlan | _GroundPlan, ...]
+
+    @property
+    def size(self) -> int:
+        return sum(part.size for part in self.parts)
 
 
-def _in_plan(plan: JumpSpacePlan, c: tuple) -> bool:
+def _scan_plan(n: int, plan: JumpSpacePlan) -> _ScanPlan:
+    """The plan the scan walks for the space `plan` (see the module
+    docstring). When `plan` leaves jump 1 free: `plan` with jump 1 pinned,
+    then the unit-free plan, which is dropped when gcd(n, fixed, non-units)
+    > 1. Otherwise `plan` itself."""
+    if plan.lo != 1 or plan.r == 0:
+        return _ScanPlan((plan,))
+    pinned = JumpSpacePlan(tuple(sorted((*plan.fixed, 1))), 2, plan.hi, plan.r - 1)
+    non_units = tuple(s for s in plan.ground if math.gcd(s, n) > 1)
+    if math.gcd(n, *plan.fixed, *non_units) > 1:
+        return _ScanPlan((pinned,))
+    return _ScanPlan((pinned, _GroundPlan(plan.fixed, non_units, plan.r)))
+
+
+def _in_plan(plan: JumpSpacePlan | _GroundPlan, c: tuple) -> bool:
     """Whether `c` is a jump set of `plan`: distinct integers, every fixed
-    jump, and r more in [lo, hi]."""
+    jump, and r more from its ground."""
     fixed = set(plan.fixed)
     return (
         all(type(s) is int for s in c)
         and len(set(c)) == len(c) == len(fixed) + plan.r
         and fixed <= set(c)
-        and all(plan.lo <= s <= plan.hi for s in set(c) - fixed)
+        and all(s in plan.ground for s in set(c) - fixed)
     )
 
 
@@ -250,16 +283,50 @@ class _RangeState:
         )
 
 
-def _scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _RangeState:
-    """Advance a range's running best over co-lex ranks [st.cursor, end).
+def _scan_chunk(
+    n: int, plan: JumpSpacePlan | _ScanPlan, st: _RangeState, end: int
+) -> _RangeState:
+    """Advance a range's running best over ranks [st.cursor, end) of `plan`,
+    a single plan or a `_ScanPlan`, whose parts are each walked over the
+    ranks of the chunk that fall in them (see `_scan_part`)."""
+    t0 = time.perf_counter()
+    if end <= st.cursor:
+        return st
+    bound = None if st.best_d is None else (st.best_d, st.best_s)
+    out = list(st.candidates)
+    base = 0
+    for part in plan.parts if isinstance(plan, _ScanPlan) else (plan,):
+        start, stop = max(st.cursor, base), min(end, base + part.size)
+        if start < stop:
+            bound, out = _scan_part(n, part, start - base, stop - base, bound, out)
+        base += part.size
+    if end > base:
+        raise AssertionError("combination space exhausted before end rank")
+    best_d, best_s = (None, None) if bound is None else bound
+    return _RangeState(
+        st.rank_range, end, best_d, best_s, out, st.elapsed + time.perf_counter() - t0
+    )
 
-    The ranks are walked one co-lex group at a time: the run of candidates
-    that share elems[1:], in which s = elems[0] runs over [lo, elems[1]), or
-    over [lo, hi] when only one jump is free. The first and last group are
-    cut at st.cursor and `end`. Once the range has a running best, a group
-    whose `group_floor` over the shared balls of tail = (*elems[1:], *fixed)
-    is above that best cannot hold a new best or a tie, so it is skipped
-    whole; its candidates still count as scanned.
+
+def _scan_part(
+    n: int,
+    plan: JumpSpacePlan | _GroundPlan,
+    start: int,
+    end: int,
+    bound: tuple[int, int] | None,
+    out: list[tuple[int, ...]],
+) -> tuple[tuple[int, int] | None, list[tuple[int, ...]]]:
+    """Walk co-lex ranks [start, end) of one plan from the running best
+    `bound` and its ties `out`; returns the new best and ties.
+
+    The ranks are combinations of indices into `plan.ground`, walked one
+    co-lex group at a time: the run of candidates that share elems[1:], in
+    which elems[0] runs up to elems[1], or over the whole ground when only
+    one jump is free. The first and last group are cut at `start` and
+    `end`. Once there is a running best, a group whose `group_floor` over
+    the shared balls of tail = (*ground[elems[1:]], *fixed) is above that
+    best cannot hold a new best or a tie, so it is skipped whole; its
+    candidates still count as scanned.
 
     Every other candidate goes through `circulant_distance_profile` as
     (s, *tail), with the running best as its bound, which is also the one
@@ -268,25 +335,21 @@ def _scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _Rang
     sorted tuple. The floor test is strict, like the kernel's, so every tie
     is still measured.
     """
-    t0 = time.perf_counter()
-    start = st.cursor
-    if end <= start:
-        return st
-    fixed, lo, hi, r = plan.fixed, plan.lo, plan.hi, plan.r
-    elems = unrank_elements(start, lo, hi, r)
-    bound = None if st.best_d is None else (st.best_d, st.best_s)
-    out = list(st.candidates)
+    fixed, ground, r = plan.fixed, plan.ground, plan.r
+    last = len(ground) - 1
+    elems = unrank_elements(start, 0, last, r)
     idx = start
     while True:
         if r:
-            s0 = elems[0]
-            top = min(elems[1] if r > 1 else hi + 1, s0 + end - idx)
-            tail = (*elems[1:], *fixed)
+            i0 = elems[0]
+            top = min(elems[1] if r > 1 else last + 1, i0 + end - idx)
+            free = ground[i0:top]
+            tail = (*[ground[i] for i in elems[1:]], *fixed)
         else:
             # The space's one candidate is the fixed jump set.
-            s0, top, tail = fixed[0], fixed[0] + 1, fixed[1:]
+            i0, top, free, tail = 0, 1, fixed[:1], fixed[1:]
         if bound is None or group_floor(n, tail, min(bound[0], n)) <= bound:
-            for s in range(s0, top):
+            for s in free:
                 profile = circulant_distance_profile(n, (s, *tail), bound)
                 if profile is not None:
                     jumps = tuple(sorted((s, *tail)))
@@ -295,16 +358,12 @@ def _scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _Rang
                     else:
                         bound = profile
                         out = [jumps]
-        idx += top - s0
+        idx += top - i0
         if idx >= end:
-            break
+            return bound, out
         elems[0] = top - 1
-        if not successor_inplace(elems, lo, hi):
+        if not successor_inplace(elems, 0, last):
             raise AssertionError("combination space exhausted before end rank")
-    best_d, best_s = (None, None) if bound is None else bound
-    return _RangeState(
-        st.rank_range, end, best_d, best_s, out, st.elapsed + time.perf_counter() - t0
-    )
 
 
 def scan_range(
@@ -387,10 +446,11 @@ def save_checkpoint(
     os.replace(tmp, path)
 
 
-def _verify_state(st: _RangeState, n: int, plan: JumpSpacePlan) -> None:
+def _verify_state(st: _RangeState, n: int, plan: _ScanPlan) -> None:
     """Raise CheckpointError unless a range's running best is one the scan
     could have produced: a best exactly when there are candidates, every
-    candidate a jump set of the plan, and each re-measuring to that best."""
+    candidate a jump set of one of the plan's parts, and each re-measuring
+    to that best."""
     if (st.best_d is None) != (not st.candidates) or (st.best_d is None) != (st.best_s is None):
         raise CheckpointError(f"range {st.rank_range}: best and candidates disagree")
     if st.best_d is None:
@@ -399,7 +459,7 @@ def _verify_state(st: _RangeState, n: int, plan: JumpSpacePlan) -> None:
     if not all(type(x) is int for x in bound):
         raise CheckpointError(f"range {st.rank_range}: best {bound} is not integral")
     for c in st.candidates:
-        if not _in_plan(plan, c):
+        if not any(_in_plan(part, c) for part in plan.parts):
             raise CheckpointError(f"candidate {list(c)} is not in the search space")
         if circulant_distance_profile(n, c, bound) != bound:
             raise CheckpointError(
@@ -417,7 +477,7 @@ def load_checkpoint(
     `total` is that plan's size. A parseable checkpoint is not trusted: n,
     k, total, the range bounds and the cursor must be JSON integers and
     `reduced` a boolean, and every carried candidate must be a jump set of
-    the scan plan and is re-measured with the scan kernel (see
+    one of the scan plan's parts and is re-measured with the scan kernel (see
     `_verify_state`).
     """
     try:
@@ -444,8 +504,8 @@ def load_checkpoint(
                     f"checkpoint is for (n={rec['n']}, k={rec['k']}, "
                     f"reduced={rec['reduced']}, total={rec['total']}), "
                     f"not (n={n}, k={k}, reduced={reduced}, total={total}); "
-                    "totals count the ranks of the scan plan, which pins jump 1 "
-                    "when n is a prime power"
+                    "totals count the ranks of the scan plan: the sets with jump 1 "
+                    "pinned, then those whose free jumps are all non-units"
                 )
             rng = RankRange(rec["range"]["start"], rec["range"]["end"])
             cursor = rec["cursor_rank"]
@@ -489,7 +549,7 @@ def load_checkpoint(
 
 
 def _run_states(
-    n: int, k: int, plan: JumpSpacePlan, states: list[_RangeState], config: SearchConfig
+    n: int, k: int, plan: _ScanPlan, states: list[_RangeState], config: SearchConfig
 ) -> None:
     """Drive every range to completion, chunk by chunk, optionally parallel;
     each finished chunk's state replaces its range's entry in `states`.

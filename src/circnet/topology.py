@@ -151,6 +151,11 @@ class JumpSpacePlan:
     r: int
 
     @property
+    def ground(self) -> range:
+        """The values the free jumps are drawn from, in co-lex index order."""
+        return range(self.lo, self.hi + 1)
+
+    @property
     def size(self) -> int:
         return binomial(self.hi - self.lo + 1, self.r)
 
@@ -165,9 +170,11 @@ def jump_space(n: int, k: int, reduced: bool = True) -> JumpSpacePlan:
     itself). For a power of two, `reduced` exploits that by pinning jump 1
     and drawing the rest from [2, (n-1)//2]; the space then holds only the
     optimal sets that contain 1. For other n the flag is ignored and the
-    full range [1, (n-1)//2] is the space. `search.run_search` scans every
-    prime-power space with jump 1 pinned and recovers the sets without it
-    by unit multiplication.
+    full range [1, (n-1)//2] is the space. `search.run_search` scans any
+    space that leaves jump 1 free as two parts: the sets with jump 1 pinned,
+    from which unit multiplication recovers every set that holds a unit,
+    and the sets whose free jumps are all non-units. For a prime power the
+    second part holds no connected set and is not scanned.
     """
     if k < 3 or k >= n:
         raise InfeasibleDegreeError(f"need 3 <= k < n, got (n={n}, k={k})")

@@ -430,8 +430,10 @@ class TestPrimePowerPinning:
         [
             (257, 6, True, 341_376, 8_001),
             (127, 8, True, 595_665, 37_820),
-            (255, 6, True, 333_375, 333_375),  # 255 = 3 * 5 * 17
-            (35, 6, False, 680, 680),
+            (255, 6, True, 333_375, 47_586),  # 255 = 3 * 5 * 17
+            (35, 6, False, 680, 130),
+            (105, 6, True, binomial(52, 3), 4_551),  # 105 = 3 * 5 * 7
+            (1000, 10, True, binomial(499, 5), 21_788_443_314),  # 1000 = 2^3 * 5^3
             (1024, 10, False, binomial(511, 5), binomial(510, 4)),
             (1024, 10, True, binomial(510, 4), binomial(510, 4)),
         ],
@@ -439,6 +441,78 @@ class TestPrimePowerPinning:
     def test_scan_plan_sizes(self, n, k, reduced, requested, scanned):
         plan = jump_space(n, k, reduced)
         assert (plan.size, search._scan_plan(n, plan).size) == (requested, scanned)
+
+
+# Every n from 6 to 66 with two or more prime factors.
+_MULTI_PRIME = (
+    6, 10, 12, 14, 15, 18, 20, 21, 22, 24, 26, 28, 30, 33, 34, 35, 36, 38, 39,
+    40, 42, 44, 45, 46, 48, 50, 51, 52, 54, 55, 56, 57, 58, 60, 62, 63, 65, 66,
+)
+
+
+@st.composite
+def st_multi_prime_case(draw):
+    """(n, k, reduced, workers, every): an n <= 66 with two or more prime
+    factors, a feasible odd or even degree k, either at most 10 with a
+    requested space of at most 1000 candidates or n - 2 or more, 1 to 3
+    workers, and a chunk size from 1 to the scan plan's size, so that chunk
+    ends fall before, at and after the first rank of the unit-free plan.
+    `reduced` is ignored for these n."""
+    n = draw(st.sampled_from(_MULTI_PRIME))
+    ks = [
+        k for k in range(3, n)
+        if (k % 2 == 0 or n % 2 == 0)
+        and (k <= 10 and jump_space(n, k).size <= 1000 or k >= n - 2)
+    ]
+    k = draw(st.sampled_from(ks))
+    total = search._scan_plan(n, jump_space(n, k)).size
+    return (
+        n, k, draw(st.booleans()), draw(st.integers(1, 3)),
+        draw(st.integers(1, max(total, 1))),
+    )
+
+
+class TestUnitFreePlan:
+    """For n with two or more prime factors, `run_search` scans the pinned
+    plan and then the unit-free plan in one rank space, and recovers the
+    rest of the ties by unit multiplication; the outcome must be the full
+    space's, scanned plainly and put through the same class step."""
+
+    @given(st_multi_prime_case())
+    # (3, 5, 6) is one of the 31 ties at (15, 6) and holds no unit: it is
+    # the unit-free plan's one candidate, at rank P = 15
+    @example((15, 6, True, 3, 15))
+    @example((15, 6, False, 1, 1))
+    # P = 120 of 130 ranks; chunks of 7 end at 119 and 126 in one range,
+    # and at 115 and 122 in the third of three ranges, [87, 130)
+    @example((35, 6, False, 1, 7))
+    @example((35, 6, False, 3, 7))
+    @example((35, 6, True, 2, 130))
+    # P = 7 of 10 ranks: (3, 5), (3, 6) and (5, 6)
+    @example((15, 4, False, 1, 4))
+    # P = 1275 of 4,551 ranks
+    @example((105, 6, True, 2, 1000))
+    # odd degree: jump 9 fixed, P = 7 of 17 ranks
+    @example((18, 5, True, 3, 3))
+    @example((18, 5, False, 1, 1))
+    def test_matches_full_space_scan(self, case):
+        n, k, reduced, workers, every = case
+        config = SearchConfig(
+            workers=workers, reduced=reduced, restarts=1, exact_bisection_limit=16,
+            checkpoint_every=every,
+        )
+        total = count_space(n, k, reduced)
+        full = merge([scan_range(n, k, r, reduced) for r in partition_ranks(total, workers)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "compute_metrics", _remembered_metrics)
+            want = search._optimal_records(n, k, full, config)
+            mp.setattr(search, "ProcessPoolExecutor", _InlinePool)
+            got, merged = run_search(n, k, config)
+        assert (merged.best_diameter, merged.best_dist_sum, merged.scanned) == (
+            full.best_diameter, full.best_dist_sum, total,
+        )
+        assert merged.candidates == full.candidates
+        assert _results_bytes(got) == _results_bytes(want)
 
 
 def _forged(tmp_path, best_d, best_s, candidates):
@@ -522,6 +596,87 @@ class TestPinnedCheckpoint:
         save_checkpoint(ck, 37, 6, True, 136, [forged])
         with pytest.raises(CheckpointError, match="not in the search space"):
             run_search(37, 6, config)
+
+
+class TestUnitFreeCheckpoint:
+    """At (35, 6), checkpoints hold the ranks of both parts of the scan plan:
+    the pinned plan's C(16, 2) = 120 ranks [0, 120), then the unit-free
+    plan's C(5, 3) = 10 sets of the non-units 5, 7, 10, 14 and 15, ranks
+    [120, 130). The requested space has C(17, 3) = 680."""
+
+    def test_full_space_checkpoint_refused(self, tmp_path, monkeypatch, capsys):
+        plan = jump_space(35, 6)
+        walked = search._scan_chunk(35, plan, _RangeState(RankRange(0, 680), 0), 400)
+        stale = tmp_path / "full.jsonl"
+        save_checkpoint(stale, 35, 6, True, 680, [walked])
+        stale_bytes = stale.read_bytes()
+
+        def no_scan(*args):
+            raise AssertionError("a candidate was scanned")
+
+        monkeypatch.setattr(search, "_scan_chunk", no_scan)
+        with pytest.raises(CheckpointError, match=r"total=680\), not \(.*total=130\)"):
+            run_search(35, 6, SearchConfig(workers=1, checkpoint_path=stale))
+        rc = main(
+            ["search", "--n", "35", "--k", "6", "--workers", "1", "--checkpoint", str(stale)]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_CHECKPOINT and "total=680" in err and "total=130" in err
+        assert stale.read_bytes() == stale_bytes
+
+    def test_interrupted_across_both_parts_resumes(self, tmp_path, monkeypatch):
+        # Two ranges, [0, 65) and [65, 130), in chunks of 57: the first round
+        # walks [0, 57) and [65, 122), which crosses into the unit-free plan.
+        # The fourth chunk is refused after the checkpoint that holds both
+        # first-round states, whichever order the pool hands them back in.
+        real_scan = search._scan_chunk
+        calls = 0
+
+        def stop_at_fourth(*args):
+            nonlocal calls
+            calls += 1
+            if calls == 4:
+                raise _Interrupted
+            return real_scan(*args)
+
+        ck = tmp_path / "ck.jsonl"
+        config = SearchConfig(workers=2, checkpoint_every=57, checkpoint_path=ck)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(search, "_scan_chunk", stop_at_fourth)
+        with pytest.raises(_Interrupted):
+            run_search(35, 6, config)
+        states = load_checkpoint(ck, 35, 6, True, 130)
+        assert [st_.cursor for st_ in states] == [57, 122]
+        assert all(st_.candidates for st_ in states)
+        monkeypatch.setattr(search, "_scan_chunk", real_scan)
+        resumed, merged = run_search(35, 6, config)
+        fresh, _ = run_search(35, 6, SearchConfig(workers=1))
+        assert merged.scanned == 680
+        assert _results_bytes(resumed) == _results_bytes(fresh)
+
+    def test_candidate_outside_both_parts_rejected(self, tmp_path):
+        _, merged = run_search(35, 6, SearchConfig(workers=1))
+        best = (merged.best_diameter, merged.best_dist_sum)
+        # A genuine tie without jump 1 whose jump 2 is a unit: neither pinned
+        # nor unit-free.
+        stray = next(
+            js.jumps for js in merged.candidates if 1 not in js.jumps and 2 in js.jumps
+        )
+        ck = tmp_path / "ck.jsonl"
+        forged = _RangeState(RankRange(0, 130), 130, *best, [stray])
+        save_checkpoint(ck, 35, 6, True, 130, [forged])
+        with pytest.raises(CheckpointError, match="not in the search space"):
+            run_search(35, 6, SearchConfig(workers=1, checkpoint_path=ck))
+
+    def test_unit_free_candidate_accepted(self, tmp_path):
+        # At (15, 6) the unit-free tie (3, 5, 6) lies in the second part.
+        _, merged = run_search(15, 6, SearchConfig(workers=1))
+        best = (merged.best_diameter, merged.best_dist_sum)
+        ck = tmp_path / "ck.jsonl"
+        carried = _RangeState(RankRange(0, 16), 16, *best, [(3, 5, 6)])
+        save_checkpoint(ck, 15, 6, True, 16, [carried])
+        (state,) = load_checkpoint(ck, 15, 6, True, 16)
+        assert state.candidates == [(3, 5, 6)]
 
 
 class TestCheckpointVerification:
