@@ -26,7 +26,8 @@ find that pair at O(degree) cost per swap: each side's unlocked vertices
 stay sorted by (-D, index) and a swap moves only its endpoints' neighbours.
 Window membership under D ties across the window boundary follows numpy's
 `argpartition`, as in `_window`; the buckets answer directly where a gain
-bound proves the tie cannot matter and call `_window` where it might.
+bound proves the tie cannot matter and call `_window` where it might, on
+numpy mirrors of D and of the sides that every swap writes through.
 
 Both solvers stop at `bisection_lower_bound`, a floor no balanced cut can
 go below (the larger of a spectral and an all-to-all congestion bound): a
@@ -601,7 +602,7 @@ class _GainBuckets:
     B (and symmetrically), so when the best gain found beats that bound on
     every tied side, both windows give the same pair and the same widening
     decision. Otherwise the tied sides take `_window`'s windows, over numpy
-    copies of D and availability that are brought up to date only then, and
+    mirrors of D and of each vertex's side that `swap` writes through, and
     the scan is repeated.
     """
 
@@ -612,23 +613,11 @@ class _GainBuckets:
         self.adj = g.adj
         self.D = D.tolist()
         self.D_np = D.astype(np.int64)
-        self.avail = [avail_a, avail_b]
-        where = np.full(n, -1)
-        where[avail_a], where[avail_b] = 0, 1
-        self.free = where >= 0
-        self.where = where.tolist()  # side of each unlocked vertex, -1 once locked
-        self.order = [np.sort(-D[a] * n + a).tolist() for a in self.avail]
-        self.dirty: list[int] = []  # vertices whose D changed since the sync
-        self.synced = True
-
-    def _sync(self) -> None:
-        if self.synced:
-            return
-        if self.dirty:
-            self.D_np[self.dirty] = [self.D[v] for v in self.dirty]
-            self.dirty.clear()
-        self.avail = [a[self.free[a]] for a in self.avail]
-        self.synced = True
+        # side of each unlocked vertex, -1 once locked
+        self.where_np = np.full(n, -1, dtype=np.int8)
+        self.where_np[avail_a], self.where_np[avail_b] = 0, 1
+        self.where = self.where_np.tolist()
+        self.order = [np.sort(-D[a] * n + a).tolist() for a in (avail_a, avail_b)]
 
     def best(self) -> tuple[int, int, int] | None:
         """`_best_swap`'s (u, v, gain) for the current state."""
@@ -649,11 +638,10 @@ class _GainBuckets:
             bound_a, bound_b = rest_a + top_b, top_a + rest_b
             tied_a, tied_b = rest_a == D[rows[-1]], rest_b == D[cols[-1]]
             if (tied_a and gain <= bound_a) or (tied_b and gain <= bound_b):
-                self._sync()
                 if tied_a:
-                    rows = _window(self.avail[0], self.D_np, ka)[0].tolist()
+                    rows = _window(np.flatnonzero(self.where_np == 0), self.D_np, ka)[0].tolist()
                 if tied_b:
-                    cols = _window(self.avail[1], self.D_np, kb)[0].tolist()
+                    cols = _window(np.flatnonzero(self.where_np == 1), self.D_np, kb)[0].tolist()
                 u, v, gain = _scan(D, adj, rows, cols)
             if gain >= bound_a and gain >= bound_b:
                 return u, v, gain
@@ -664,12 +652,11 @@ class _GainBuckets:
         neighbour's D changes by 2 w per moved endpoint, up when the endpoint
         leaves the neighbour's side and down when it joins it."""
         n, D, where, order = self.n, self.D, self.where, self.order
-        dirty = self.dirty
+        D_np, where_np = self.D_np, self.where_np
         for x, s in ((u, 0), (v, 1)):
             keys = order[s]
             del keys[bisect_left(keys, -D[x] * n + x)]
-            where[x] = -1
-            self.free[x] = False
+            where[x] = where_np[x] = -1
         for x, up in ((u, 0), (v, 1)):
             for y, w in self.adj[x].items():
                 s = where[y]
@@ -678,10 +665,8 @@ class _GainBuckets:
                 keys = order[s]
                 d = D[y]
                 del keys[bisect_left(keys, -d * n + y)]
-                D[y] = d = d + 2 * w if s == up else d - 2 * w
+                D[y] = D_np[y] = d = d + 2 * w if s == up else d - 2 * w
                 insort(keys, -d * n + y)
-                dirty.append(y)
-        self.synced = False
 
 
 def _kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
@@ -831,7 +816,6 @@ def _restart(
     seed_side: np.ndarray | None,
     i: int,
     seed: int,
-    kicks: tuple[int, int, int],
     floor: int,
 ) -> tuple[int, np.ndarray]:
     """Restart i of `_best_balanced_side`: KL from `seed_side` when one is
@@ -839,6 +823,7 @@ def _restart(
     then `_ILS_ROUNDS` kick-and-refine rounds on the best side so far, which
     stop once it meets `floor`. Everything random comes from seed + i."""
     rng = random.Random(seed + i)
+    kicks = (8, max(8, g.n // 32), max(12, g.n // 16))
     if seed_side is not None:
         side = seed_side.copy()
         cut = _kl_refine(g, side)
@@ -865,8 +850,8 @@ def _restart(
 _POOL_MIN_N = 128
 
 # What one heuristic call's restarts share: (work graph, lifted factor
-# sides, seed, kicks, floor).
-_Job = tuple[_WorkGraph, list[np.ndarray], int, tuple[int, int, int], int]
+# sides, seed, floor).
+_Job = tuple[_WorkGraph, list[np.ndarray], int, int]
 
 # The job of the pool this worker process serves, set once per worker by
 # the pool's initializer.
@@ -874,8 +859,8 @@ _pool_job: _Job | None = None
 
 
 def _job_restart(job: _Job, i: int) -> tuple[int, np.ndarray]:
-    g, seeds, seed, kicks, floor = job
-    return _restart(g, seeds[i] if i < len(seeds) else None, i, seed, kicks, floor)
+    g, seeds, seed, floor = job
+    return _restart(g, seeds[i] if i < len(seeds) else None, i, seed, floor)
 
 
 def _init_pool_worker(job: _Job) -> None:
@@ -932,9 +917,8 @@ def _best_balanced_side(
     n = t.n
     if n == 2:
         return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
-    kicks = (8, max(8, n // 32), max(12, n // 16))
     floor = bisection_lower_bound(t)
-    job = (_work_graph(t), _factor_lift_seeds(t, restarts, seed, workers), seed, kicks, floor)
+    job = (_work_graph(t), _factor_lift_seeds(t, restarts, seed, workers), seed, floor)
     runs = [_job_restart(job, 0)]
     procs = min(available_cores() if workers is None else workers, restarts - 1)
     if runs[0][0] > floor and n >= _POOL_MIN_N and procs > 1:

@@ -38,9 +38,12 @@ bisection width comes from `metrics.bisection_method`'s policy (exact up to
 the configured limit, Kernighan-Lin above, none for odd n). Only the
 maximum-width ties are returned.
 
-Hot path: every candidate goes through the one circulant BFS kernel,
-`metrics.circulant_distance_profile`, bounded by the running best; it is
-also the only connectivity test (a disconnected set returns None). The
+Hot path: every connected candidate goes through the one circulant BFS
+kernel, `metrics.circulant_distance_profile`, bounded by the running best.
+The disconnected ones never reach it: in a co-lex group whose tail shares a
+factor g = gcd(n, *tail) > 1 with n, the set (s, *tail) is connected exactly
+when gcd(g, s) = 1, so the other free jumps s are dropped first (only
+unit-free tails can have g > 1, since a pinned tail holds jump 1). The
 kernel grows a candidate's balls from the cached balls of all its jumps
 but the first, so the scan passes the free jumps first, the one that
 changes fastest in co-lex order leading: the candidates of one co-lex
@@ -89,7 +92,7 @@ from .metrics import (
 )
 # perfbench/tracing.py patches these by attribute on this module
 from .metrics import bisection_exact, bisection_heuristic  # noqa: F401
-from .topology import JumpSet, JumpSpacePlan, adam_canonical, circulant, jump_space
+from .topology import JumpSet, JumpSpacePlan, adam_canonical, circulant, jump_space, unit_image
 
 
 class CheckpointError(RuntimeError):
@@ -197,7 +200,7 @@ def _scan_plan(n: int, plan: JumpSpacePlan) -> _ScanPlan:
     docstring). When `plan` leaves jump 1 free: `plan` with jump 1 pinned,
     then the unit-free plan, which is dropped when gcd(n, fixed, non-units)
     > 1. Otherwise `plan` itself."""
-    if plan.lo != 1 or plan.r == 0:
+    if plan.lo != 1:
         return _ScanPlan((plan,))
     pinned = JumpSpacePlan(tuple(sorted((*plan.fixed, 1))), 2, plan.hi, plan.r - 1)
     non_units = tuple(s for s in plan.ground if math.gcd(s, n) > 1)
@@ -235,7 +238,7 @@ def _unit_closure(
         if c in out:
             continue
         for u in units:
-            image = tuple(sorted(min(u * s % n, -u * s % n) for s in c))
+            image = unit_image(n, c, u)
             if _in_plan(plan, image):
                 out.add(image)
     return sorted(out)
@@ -326,12 +329,13 @@ def _scan_part(
     `end`. Once there is a running best, a group whose `group_floor` over
     the shared balls of tail = (*ground[elems[1:]], *fixed) is above that
     best cannot hold a new best or a tie, so it is skipped whole; its
-    candidates still count as scanned.
+    candidates still count as scanned. When g = gcd(n, *tail) > 1, the set
+    (s, *tail) is disconnected for each free jump s with gcd(g, s) > 1:
+    those jumps are dropped first, and a group left with none is skipped.
 
     Every other candidate goes through `circulant_distance_profile` as
-    (s, *tail), with the running best as its bound, which is also the one
-    connectivity test: it returns a profile only for a new best or a tie,
-    never for a disconnected jump set, and only then is the jump set made a
+    (s, *tail), with the running best as its bound: it returns a profile
+    only for a new best or a tie, and only then is the jump set made a
     sorted tuple. The floor test is strict, like the kernel's, so every tie
     is still measured.
     """
@@ -348,7 +352,10 @@ def _scan_part(
         else:
             # The space's one candidate is the fixed jump set.
             i0, top, free, tail = 0, 1, fixed[:1], fixed[1:]
-        if bound is None or group_floor(n, tail, min(bound[0], n)) <= bound:
+        g = math.gcd(n, *tail)
+        if g > 1:
+            free = [s for s in free if math.gcd(g, s) == 1]
+        if free and (bound is None or group_floor(n, tail, min(bound[0], n)) <= bound):
             for s in free:
                 profile = circulant_distance_profile(n, (s, *tail), bound)
                 if profile is not None:

@@ -163,18 +163,12 @@ class JumpSpacePlan:
 def jump_space(n: int, k: int, reduced: bool = True) -> JumpSpacePlan:
     """Search-space shape for degree-k circulants on n vertices.
 
-    Odd k pins jump n/2 (and requires even n). When n is a prime power p^a,
-    every jump that is not a unit mod n is divisible by p, so a connected
-    set (gcd(n, S) = 1) holds a unit, and multiplying the set by that unit's
-    inverse yields an isomorphic jump set containing 1 (n/2 maps to
-    itself). For a power of two, `reduced` exploits that by pinning jump 1
-    and drawing the rest from [2, (n-1)//2]; the space then holds only the
-    optimal sets that contain 1. For other n the flag is ignored and the
-    full range [1, (n-1)//2] is the space. `search.run_search` scans any
-    space that leaves jump 1 free as two parts: the sets with jump 1 pinned,
-    from which unit multiplication recovers every set that holds a unit,
-    and the sets whose free jumps are all non-units. For a prime power the
-    second part holds no connected set and is not scanned.
+    Odd k pins jump n/2 (and requires even n). For a power of two, `reduced`
+    pins jump 1 as well and draws the other free jumps from [2, (n-1)//2]:
+    unit multiplication maps every connected set to an isomorphic one that
+    contains 1 (n/2 maps to itself). For other n the flag is ignored and the
+    free jumps range over [1, (n-1)//2]. How `search.run_search` walks a
+    space is described in the `search` module docstring.
     """
     if k < 3 or k >= n:
         raise InfeasibleDegreeError(f"need 3 <= k < n, got (n={n}, k={k})")
@@ -197,6 +191,11 @@ def is_connected_circulant(js: JumpSet) -> bool:
     return math.gcd(js.n, *js.jumps) == 1 if js.jumps else js.n == 1
 
 
+def unit_image(n: int, jumps: Iterable[int], u: int) -> tuple[int, ...]:
+    """The jumps multiplied by u mod n, each as its class min(t, n - t), sorted."""
+    return tuple(sorted(min(u * s % n, -u * s % n) for s in jumps))
+
+
 def adam_multiply(js: JumpSet, u: int) -> JumpSet:
     """Map each jump s to the class of u*s mod n; u must be a unit mod n.
 
@@ -207,13 +206,10 @@ def adam_multiply(js: JumpSet, u: int) -> JumpSet:
     n = js.n
     if math.gcd(u, n) != 1:
         raise ValueError(f"{u} is not a unit modulo {n}")
-    mapped = []
-    for s in js.jumps:
-        t = (u * s) % n
-        mapped.append(min(t, n - t))
+    mapped = unit_image(n, js.jumps, u)
     if len(set(mapped)) != len(mapped):
         raise AssertionError("unit multiplication collapsed jump classes")
-    return JumpSet(n, tuple(sorted(mapped)))
+    return JumpSet(n, mapped)
 
 
 def adam_canonical(js: JumpSet) -> JumpSet:
@@ -235,7 +231,7 @@ def adam_canonical(js: JumpSet) -> JumpSet:
     )
     best = js.jumps
     for u in multipliers:
-        best = min(best, tuple(sorted(min(u * s % n, -u * s % n) for s in js.jumps)))
+        best = min(best, unit_image(n, js.jumps, u))
     return JumpSet(n, best)
 
 

@@ -4,8 +4,10 @@ The oracle enumerates every jump set by nested loops, measures each with an
 independent queue BFS, and sorts by (diameter, distance sum, -bisection).
 """
 
+import hashlib
 import itertools
 import json
+import math
 import os
 import tempfile
 from collections import deque
@@ -513,6 +515,43 @@ class TestUnitFreePlan:
         )
         assert merged.candidates == full.candidates
         assert _results_bytes(got) == _results_bytes(want)
+
+
+class TestDisconnectedSetsSkipped:
+    """The scan drops a free jump s from a co-lex group when (s, *tail) shares
+    a factor with n, so the kernel measures connected sets only, and the
+    results are those of a scan that measured every set."""
+
+    # sha256 of the results file and (scanned, ties, best) for
+    # SearchConfig(workers=1), as when the kernel measured every set
+    EXPECTED = {
+        (255, 6): (
+            "1805a0d746fe82f7ca55907b57572a9bdbaa02ca9f02f3c2dbf8daa69349025f",
+            333_375, 64, (6, 1078),
+        ),
+        (105, 6): (
+            "ef6b7f01e50caaef2125a8cd7dd3a8f779ef2125ec48982a27c299403e512fb5",
+            binomial(52, 3), 72, (4, 328),
+        ),
+    }
+
+    @pytest.mark.parametrize("n, k", sorted(EXPECTED))
+    def test_kernel_sees_connected_sets_only(self, n, k, monkeypatch):
+        measured = []
+        kernel = search.circulant_distance_profile
+
+        def recording(n_, jumps, bound=None):
+            measured.append(jumps)
+            return kernel(n_, jumps, bound)
+
+        monkeypatch.setattr(search, "circulant_distance_profile", recording)
+        records, merged = run_search(n, k, SearchConfig(workers=1))
+        assert measured
+        assert [j for j in measured if math.gcd(n, *j) != 1] == []
+        digest, scanned, ties, best = self.EXPECTED[(n, k)]
+        assert hashlib.sha256(_results_bytes(records)).hexdigest() == digest
+        assert (merged.scanned, len(merged.candidates)) == (scanned, ties)
+        assert (merged.best_diameter, merged.best_dist_sum) == best
 
 
 def _forged(tmp_path, best_d, best_s, candidates):
