@@ -28,7 +28,14 @@ from . import metrics as metrics_mod
 from . import report as report_mod
 from . import traffic as traffic_mod
 from .routing import route_table
-from .search import CheckpointError, SearchConfig, record_to_dict, run_search, write_results
+from .search import (
+    CheckpointError,
+    SearchConfig,
+    count_scan_ranks,
+    record_to_dict,
+    run_search,
+    write_results,
+)
 from .topology import (
     InfeasibleDegreeError,
     JumpSet,
@@ -151,8 +158,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
     if args.out:
         write_results(args.out, records)
-    # None when no scan time was recorded (a resumed finished checkpoint)
-    rate = merged.scanned / merged.elapsed if merged.elapsed > 0 else None
+    # Ranks walked per second of scan time, not the requested space's size
+    # (`scanned`); None when no scan time was recorded (a resumed finished
+    # checkpoint).
+    ranks = count_scan_ranks(args.n, args.k, config.reduced)
+    rate = ranks / merged.elapsed if merged.elapsed > 0 else None
     payload = {
         "config": {
             "subcommand": "search",

@@ -1,14 +1,18 @@
 """Distance and bisection metrics for interconnect topologies.
 
 Diameter and mean path length come from breadth-first search; vertex-symmetric
-graphs need a single source. `circulant_distance_profile` is the one circulant
-BFS kernel, used by the search scan and by checkpoint verification. It holds
-the ball of radius d around vertex 0 in one big integer and grows it by the
-ball recurrence B_d(S) = B_d(S - {s}) | (B_{d-1}(S) +- s): with the balls of
-all jumps but the first taken from a small cache, a whole BFS level costs
-one rotation pair, one OR and one mask, whatever the degree. Given the
-running best it stops a candidate as soon as the candidate is provably worse
-(strictly, so ties always finish).
+graphs need a single source. `circulant_group_profiles` is the one circulant
+BFS kernel. It measures a whole co-lex group of the search scan in one call:
+the jump sets (s, *tail) for each s of a run of free jumps, which share the
+tail. It holds the ball of radius d around vertex 0 in one big integer and
+grows it by the ball recurrence B_d(S) = B_d(S - {s}) | (B_{d-1}(S) +- s):
+with the tail's balls taken from a small cache once per group, a whole BFS
+level costs one rotation pair, one OR and one mask, whatever the degree.
+Given the running best it skips a group whose `group_floor` is above it and
+stops a member as soon as the member is provably worse (strictly, so ties
+always finish), tightening the best as members improve on it.
+`circulant_distance_profile`, used by checkpoint verification, is the same
+kernel on a group of one.
 
 Bisection width is the minimum edge cut over exactly balanced bipartitions.
 `bisection_method` is the single policy choosing between the two solvers.
@@ -49,6 +53,7 @@ import math
 import os
 import random
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,7 +156,7 @@ def bfs_distances(t: Topology, source: int) -> list[int]:
     return dist
 
 
-# The ball cache of `circulant_distance_profile`: slot L holds the last
+# The ball cache of `circulant_group_profiles`: slot L holds the last
 # L-jump set whose balls were built, as (n, jumps, [B_0, B_1, ...]). It is
 # per process and not guarded for concurrent threads.
 _BALLS: dict[int, tuple[int, tuple[int, ...], list[int]]] = {}
@@ -207,55 +212,87 @@ def circulant_distance_profile(
     disconnected or provably worse than `bound`. Raises ValueError for a
     jump outside [1, n - 1].
 
-    This is the search's scan kernel. The ball B_d of radius d around
-    vertex 0 is one n-bit integer, and for any jump s
-        B_d(S) = B_d(S - {s}) | (B_{d-1}(S) + s) | (B_{d-1}(S) - s),
-    since a shortest word either avoids +-s or drops one +-s step. With
-    s = jumps[0] and the balls of jumps[1:] taken from a cache (see
-    `_balls`), each level costs one rotation pair of the previous ball,
-    doubled into 2n bits so that both rotations are right shifts, one OR
-    and one mask, whatever the degree. The search passes its
-    fastest-changing jump first, so runs of consecutive candidates share
-    jumps[1:] and its cached balls. Those are built only to the depth the
-    bound can need, min(best_d, n).
-
-    `bound` is a running best (best_d, best_s). Before each level is
-    expanded, while some vertex is unreached, the candidate is dropped when
-    its diameter must exceed best_d (d >= best_d), or when every unreached
-    vertex lands on level best_d and that already gives a distance sum above
-    best_s. Both tests are strict, so a profile equal to the bound (a tie) is
-    returned exactly; a profile lexicographically above it always gives None.
-    The result does not depend on the order of `jumps`.
+    `bound` is a running best (best_d, best_s); a profile equal to it (a tie)
+    is returned exactly, and one lexicographically above it always gives
+    None. This is `circulant_group_profiles` for the one free jump
+    jumps[0] and the tail jumps[1:], and its result does not depend on the
+    order of `jumps`.
     """
     if not jumps:
         # Only the one-vertex graph is connected without a jump.
         return (0, 0) if n == 1 and (bound is None or (0, 0) <= bound) else None
-    s = jumps[0]
-    _check_jump(n, s)
+    found = circulant_group_profiles(n, jumps[1:], jumps[:1], bound)
+    return found[0][1] if found else None
+
+
+def circulant_group_profiles(
+    n: int,
+    tail: tuple[int, ...],
+    free: Sequence[int],
+    bound: tuple[int, int] | None = None,
+) -> list[tuple[int, tuple[int, int]]]:
+    """The (s, (diameter, distance sum)) of each circulant (s, *tail), s in
+    `free` in order, that ties or beats the running best, which starts at
+    `bound` and tightens on each strict improvement. Disconnected sets are
+    never reported. `free` is ascending, as the free jumps of a co-lex
+    group are, so its ends bound it: ValueError is raised for a jump
+    outside [1, n - 1] in the tail or at either end of `free`.
+
+    This is the search's scan kernel, called once per co-lex group. The
+    ball B_d of radius d around vertex 0 is one n-bit integer, and for any
+    jump s
+        B_d(S) = B_d(S - {s}) | (B_{d-1}(S) + s) | (B_{d-1}(S) - s),
+    since a shortest word either avoids +-s or drops one +-s step. With the
+    balls of `tail` taken from a cache (see `_balls`), each level costs one
+    rotation pair of the previous ball, doubled into 2n bits so that both
+    rotations are right shifts, one OR and one mask, whatever the degree.
+    The tail's balls, built only to the depth the bound can need,
+    min(best_d, n), the mask and that depth are looked up once for the
+    whole group. When there is a bound, the `group_floor` of those same
+    balls comes first: a group whose floor is above the bound holds no tie
+    and no improvement, and none of its members is expanded.
+
+    A member is expanded level by level up to min(best_d, n), for the
+    running best of the moment, and dropped if it has not reached every
+    vertex by then (a disconnected one never does). Before level best_d is
+    expanded, it is also dropped when every unreached vertex landing on
+    that level would already give a distance sum above best_s. Both tests
+    are strict, so every tie is measured in full and reported.
+    """
+    if free:
+        _check_jump(n, free[0])
+        _check_jump(n, free[-1])
     # Without a bound, best_d = n never triggers: the diameter is below n.
     best_d, best_s = (n, 0) if bound is None else bound
-    depth = min(best_d, n)
-    base = _balls(n, jumps[1:], depth)
-    t = n - s
-    full = (1 << n) - 1
-    ball = 1
-    reached = 1
-    total = 0
     # Levels past min(best_d, n) are never needed: below n the diameter
     # would exceed best_d, and a connected circulant has diameter < n.
-    for d in range(1, depth + 1):
-        if d == best_d and total + d * (n - reached) > best_s:
-            return None
-        wrapped = ball | (ball << n)
-        ball = (base[d] | (wrapped >> s) | (wrapped >> t)) & full
-        count = ball.bit_count()
-        if count == reached:
-            return None
-        total += d * (count - reached)
-        reached = count
-        if reached == n:
-            return d, total
-    return None
+    depth = min(best_d, n)
+    base = _balls(n, tail, depth)
+    if not free or (bound is not None and _count_floor(n, base, depth) > bound):
+        return []
+    full = (1 << n) - 1
+    found = []
+    for s in free:
+        t = n - s
+        ball = 1
+        reached = 1
+        total = 0
+        for d in range(1, depth + 1):
+            # sum over v of min(dist(v), d): the distance sum if every
+            # unreached vertex lands on level d
+            total += n - reached
+            if d == best_d and total > best_s:
+                break
+            wrapped = ball | (ball << n)
+            ball = (base[d] | (wrapped >> s) | (wrapped >> t)) & full
+            reached = ball.bit_count()
+            if reached == n:
+                # At or below the running best, which a tie leaves as it is.
+                best_d = depth = d
+                best_s = total
+                found.append((s, (d, total)))
+                break
+    return found
 
 
 def group_floor(n: int, tail: tuple[int, ...], depth: int) -> tuple[int, int]:
@@ -270,7 +307,11 @@ def group_floor(n: int, tail: tuple[int, ...], depth: int) -> tuple[int, int]:
     Only levels up to `depth` are counted: if U_depth < n, the result is
     (depth + 1, the partial sum), still a floor on both.
     """
-    balls = _balls(n, tail, depth)
+    return _count_floor(n, _balls(n, tail, depth), depth)
+
+
+def _count_floor(n: int, balls: list[int], depth: int) -> tuple[int, int]:
+    """`group_floor` counted from the tail's balls [B_0, ..., B_depth]."""
     total = 0
     inner = 0
     for d in range(depth + 1):

@@ -38,28 +38,27 @@ bisection width comes from `metrics.bisection_method`'s policy (exact up to
 the configured limit, Kernighan-Lin above, none for odd n). Only the
 maximum-width ties are returned.
 
-Hot path: every connected candidate goes through the one circulant BFS
-kernel, `metrics.circulant_distance_profile`, bounded by the running best.
-The disconnected ones never reach it: in a co-lex group whose tail shares a
-factor g = gcd(n, *tail) > 1 with n, the set (s, *tail) is connected exactly
-when gcd(g, s) = 1, so the other free jumps s are dropped first (only
-unit-free tails can have g > 1, since a pinned tail holds jump 1). The
-kernel grows a candidate's balls from the cached balls of all its jumps
-but the first, so the scan passes the free jumps first, the one that
-changes fastest in co-lex order leading: the candidates of one co-lex
-group then share the cached balls of their tail. Those balls also give
-`metrics.group_floor`, a floor on (diameter, distance sum) that holds for
-every candidate of the group at once; a group whose floor is above the
-running best is skipped whole. The kernel abandons a candidate before the
-level that proves it worse. Both tests are strict, so every tie is
-measured in full. Only the amount of pruning depends on the running best,
-never which jump sets are kept, which is why the outcome stays independent
-of chunking and order. On one core of a 2-vCPU Xeon host (Python 3.11) a
-full-space `scan_range` runs at about 270-335k graphs/s at (255, 6),
-230-300k at (257, 6) and 360-475k at (127, 8); at (1024, 10), with
-(5, 4166) as the running best, about 335-470k from ranks 1e9 and 2e9 and
-480-500k averaged over the space, so its 2.79e9 candidates take about
-1.6-2.3 core-hours.
+Hot path: each co-lex group is one call of the circulant BFS kernel,
+`metrics.circulant_group_profiles`, bounded by the running best. The
+candidates of a group share every jump but the fastest-changing one, s,
+so the kernel looks up the cached balls of their tail, the mask and the
+bound once per group and grows each candidate's balls from them. Those
+balls also give `metrics.group_floor`, a floor on (diameter, distance sum)
+that holds for every candidate of the group at once; the kernel skips a
+group whose floor is above the running best, and abandons a candidate
+before the level that proves it worse. Disconnected candidates never
+reach it: in a co-lex group whose tail shares a factor g = gcd(n, *tail) >
+1 with n, the set (s, *tail) is connected exactly when gcd(g, s) = 1, so
+the other free jumps s are dropped first (only unit-free tails can have
+g > 1, since a pinned tail holds jump 1). Both tests are strict, so every
+tie is measured in full. Only the amount of pruning depends on the running
+best, never which jump sets are kept, which is why the outcome stays
+independent of chunking and order. On one core of a 2-vCPU Xeon host
+(nproc 2, Python 3.11) a full-space `scan_range` runs at about 455-680k
+graphs/s at (255, 6), 345-540k at (257, 6) and 600-760k at (127, 8); at
+(1024, 10), with (5, 4166) as the running best, about 690-770k from rank
+1e9, 780k-1.08M from rank 2e9 and 775-810k averaged over the space, so its
+2.79e9 candidates take about 0.95-1.0 core-hours.
 
 Checkpoints are JSON lines, one `_RangeState` per range over the ranks of
 the scan plan; a resumed run continues each range from its cursor. A
@@ -87,8 +86,8 @@ from .metrics import (
     MetricsRecord,
     available_cores,
     circulant_distance_profile,
+    circulant_group_profiles,
     compute_metrics,
-    group_floor,
 )
 # perfbench/tracing.py patches these by attribute on this module
 from .metrics import bisection_exact, bisection_heuristic  # noqa: F401
@@ -166,6 +165,12 @@ def count_space(n: int, k: int, reduced: bool = True) -> int:
     """Size of the free-choice combination space for (n, k)."""
     plan = jump_space(n, k, reduced)
     return plan.size
+
+
+def count_scan_ranks(n: int, k: int, reduced: bool = True) -> int:
+    """Ranks the scan walks for the (n, k) space: the size of its scan plan
+    (`_scan_plan`), which is also a checkpoint's `total`."""
+    return _scan_plan(n, jump_space(n, k, reduced)).size
 
 
 @dataclass(frozen=True)
@@ -326,18 +331,18 @@ def _scan_part(
     co-lex group at a time: the run of candidates that share elems[1:], in
     which elems[0] runs up to elems[1], or over the whole ground when only
     one jump is free. The first and last group are cut at `start` and
-    `end`. Once there is a running best, a group whose `group_floor` over
-    the shared balls of tail = (*ground[elems[1:]], *fixed) is above that
-    best cannot hold a new best or a tie, so it is skipped whole; its
-    candidates still count as scanned. When g = gcd(n, *tail) > 1, the set
-    (s, *tail) is disconnected for each free jump s with gcd(g, s) > 1:
-    those jumps are dropped first, and a group left with none is skipped.
+    `end`. When g = gcd(n, *tail) > 1, with tail = (*ground[elems[1:]],
+    *fixed), the set (s, *tail) is disconnected for each free jump s with
+    gcd(g, s) > 1: those jumps are dropped first.
 
-    Every other candidate goes through `circulant_distance_profile` as
-    (s, *tail), with the running best as its bound: it returns a profile
-    only for a new best or a tie, and only then is the jump set made a
-    sorted tuple. The floor test is strict, like the kernel's, so every tie
-    is still measured.
+    Each group then takes one `circulant_group_profiles` call with the
+    running best as its bound. Once there is a running best, that call
+    skips a group whose `group_floor` over the tail's balls is above it
+    (its candidates still count as scanned); otherwise it measures the
+    free jumps in order and reports each (s, profile) that ties or beats
+    the best so far. Only then is the jump set made a sorted tuple. Both
+    the floor test and the kernel's are strict, so every tie is still
+    measured.
     """
     fixed, ground, r = plan.fixed, plan.ground, plan.r
     last = len(ground) - 1
@@ -355,16 +360,13 @@ def _scan_part(
         g = math.gcd(n, *tail)
         if g > 1:
             free = [s for s in free if math.gcd(g, s) == 1]
-        if free and (bound is None or group_floor(n, tail, min(bound[0], n)) <= bound):
-            for s in free:
-                profile = circulant_distance_profile(n, (s, *tail), bound)
-                if profile is not None:
-                    jumps = tuple(sorted((s, *tail)))
-                    if profile == bound:
-                        out.append(jumps)
-                    else:
-                        bound = profile
-                        out = [jumps]
+        for s, profile in circulant_group_profiles(n, tail, free, bound):
+            jumps = tuple(sorted((s, *tail)))
+            if profile == bound:
+                out.append(jumps)
+            else:
+                bound = profile
+                out = [jumps]
         idx += top - i0
         if idx >= end:
             return bound, out

@@ -1,6 +1,7 @@
 """CLI tests: spec grammar round-trips, output payload shapes, exit codes,
 and file side effects. Subcommands are invoked in-process via main()."""
 
+import dataclasses
 import io
 import json
 import tempfile
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from circnet import metrics, search
+from circnet import cli, metrics, search
 from circnet.cli import (
     EXIT_CHECKPOINT,
     EXIT_INFEASIBLE,
@@ -297,6 +298,29 @@ class TestSearchCommand:
         payload = json.loads(captured.out, parse_constant=refuse)
         assert payload["timing"]["scan_rate_per_core"] is None
         assert "scan rate: n/a" in captured.err
+
+    @pytest.mark.parametrize(
+        "n, k, ranks", [(257, 6, 8_001), (255, 6, 47_586), (32, 4, search.count_space(32, 4))]
+    )
+    def test_scan_rate_counts_the_ranks_walked(self, n, k, ranks, monkeypatch, capsys):
+        # With the scan time pinned to 0.5 s the rate shows its numerator:
+        # the ranks of the scan plan (the pinned sets, then the unit-free
+        # ones), not `scanned`, the size of the requested space.
+        real = cli.run_search
+
+        def half_second(*args):
+            records, merged = real(*args)
+            return records, dataclasses.replace(merged, elapsed=0.5)
+
+        monkeypatch.setattr(cli, "run_search", half_second)
+        rc = main(["search", "--n", str(n), "--k", str(k), "--workers", "1", "--restarts", "4"])
+        assert rc == EXIT_OK
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert search.count_scan_ranks(n, k) == ranks
+        assert payload["timing"]["scan_rate_per_core"] == 2 * ranks
+        assert f"scan rate: {2 * ranks} graphs/s/core" in captured.err
+        assert payload["scanned"] == search.count_space(n, k)
 
     def test_exact_limit_above_cap_falls_back_to_heuristic(self, capsys):
         rc = main(

@@ -310,6 +310,97 @@ class TestGroupFloor:
         assert metrics.group_floor(13, (1,), 0) == (1, 12)
 
 
+@st.composite
+def st_group_case(draw):
+    """(n, tail, free, bound) for `metrics.circulant_group_profiles`.
+
+    The tail is made of multiples of a divisor g of n, so members that are
+    multiples of g too are disconnected; an empty tail makes one-member
+    groups like the scan's r = 0 case. Free jumps come ascending from a
+    small pool and its negatives, so members repeat graphs and tie. The
+    bound is None, one drawn around a member's own profile, or an arbitrary
+    pair."""
+    n = draw(st.integers(2, 120))
+    g = draw(st.sampled_from([g for g in range(1, n) if n % g == 0]))
+    multiple = st.integers(1, (n - 1) // g).map(lambda x: g * x)
+    tail = tuple(draw(st.lists(multiple, max_size=4)))
+    pool = draw(st.lists(st.one_of(st.integers(1, n - 1), multiple), min_size=1, max_size=5))
+    members = st.sampled_from(pool + [n - s for s in pool])
+    free = tuple(sorted(draw(st.lists(members, max_size=10))))
+    profiles = [oracles.circulant_distance_profile(n, (s, *tail)) for s in free]
+    profiles = [p for p in profiles if p is not None]
+    kind = draw(st.sampled_from(["none", "member", "any"]))
+    if kind == "member" and profiles:
+        d, s = draw(st.sampled_from(profiles))
+        bound = (d + draw(st.integers(-1, 1)), s + draw(st.integers(-3, 3)))
+    elif kind == "any":
+        bound = (draw(st.integers(-1, n + 1)), draw(st.integers(0, n * n)))
+    else:
+        bound = None
+    return n, tail, free, bound
+
+
+class TestGroupProfiles:
+    """`metrics.circulant_group_profiles` against a per-candidate loop over
+    the frontier kernel (`oracles.circulant_distance_profile`) that carries
+    the running best from one member to the next."""
+
+    @given(st_group_case())
+    # The first member sets the bound and a later one ties it ({1, 8} is
+    # {1, 5} multiplied by -1 mod 13).
+    @example((13, (1,), (5, 8), None))
+    # {1, 2} sets the bound, {1, 5} beats it and {1, 8} ties the new best.
+    @example((13, (1,), (2, 5, 8), None))
+    @example((13, (1,), (2, 5, 8), (3, 40)))
+    # The ring {1} sets (2, 6), K5 = {1, 3} beats it at diameter 1, and then
+    # the ring {1, 4} must be dropped at level 1, not expanded to level 2.
+    @example((5, (1,), (1, 3, 4), None))
+    # {4, 2} and {4, 6} are disconnected; {4, 1} sets the bound, {4, 11} ties.
+    @example((12, (4,), (1, 2, 6, 11), None))
+    # One-member groups with no tail: rings.
+    @example((5, (), (1,), None))
+    @example((2, (), (1,), (1, 1)))
+    def test_matches_per_candidate_loop(self, case):
+        n, tail, free, bound = case
+        want = []
+        running = bound
+        for s in free:
+            profile = oracles.circulant_distance_profile(n, (s, *tail), running)
+            if profile is not None:
+                want.append((s, profile))
+                running = profile
+        assert metrics.circulant_group_profiles(n, tail, free, bound) == want
+
+    def test_examples_tie_and_tighten(self):
+        assert metrics.circulant_group_profiles(13, (1,), (5, 8)) == [
+            (5, (2, 20)), (8, (2, 20)),
+        ]
+        found = metrics.circulant_group_profiles(13, (1,), (2, 5, 8))
+        assert [s for s, _ in found] == [2, 5, 8] and found[0][1] > found[1][1] == found[2][1]
+        assert metrics.circulant_group_profiles(12, (4,), (1, 2, 6, 11)) == [
+            (1, (3, 19)), (11, (3, 19)),
+        ]
+
+    @pytest.mark.parametrize(
+        "n, tail, free, bad",
+        [
+            (8, (1,), (3, 8), 8),
+            (8, (1,), (0, 3), 0),
+            (8, (1,), (9,), 9),
+            (8, (12,), (3,), 12),
+            (8, (1, 9), (3, 5), 9),
+            (8, (0,), (), 0),
+            (1, (), (1,), 1),
+        ],
+    )
+    def test_jump_outside_range_is_refused(self, n, tail, free, bad):
+        # Also when the bound would drop the whole group by its floor, and
+        # again after the refusal (nothing half-built is cached).
+        for bound in (None, (0, 0), (0, 0)):
+            with pytest.raises(ValueError, match=rf"jump {bad} is outside \[1, {n - 1}\]"):
+                metrics.circulant_group_profiles(n, tail, free, bound)
+
+
 class TestDiameterMpl:
     def test_hypercube5(self):
         d, s, mpl = diameter_mpl(hypercube(5))

@@ -538,13 +538,13 @@ class TestDisconnectedSetsSkipped:
     @pytest.mark.parametrize("n, k", sorted(EXPECTED))
     def test_kernel_sees_connected_sets_only(self, n, k, monkeypatch):
         measured = []
-        kernel = search.circulant_distance_profile
+        kernel = search.circulant_group_profiles
 
-        def recording(n_, jumps, bound=None):
-            measured.append(jumps)
-            return kernel(n_, jumps, bound)
+        def recording(n_, tail, free, bound=None):
+            measured.extend((s, *tail) for s in free)
+            return kernel(n_, tail, free, bound)
 
-        monkeypatch.setattr(search, "circulant_distance_profile", recording)
+        monkeypatch.setattr(search, "circulant_group_profiles", recording)
         records, merged = run_search(n, k, SearchConfig(workers=1))
         assert measured
         assert [j for j in measured if math.gcd(n, *j) != 1] == []
@@ -790,15 +790,14 @@ class TestRecordsAreReMeasured:
         # A scan kernel that reports every distance sum one too low: the
         # merged best is then one no class re-measures to, and run_search
         # must refuse it rather than return it.
-        kernel = search.circulant_distance_profile
+        kernel = search.circulant_group_profiles
 
-        def low_by_one(n, jumps, bound=None):
+        def low_by_one(n, tail, free, bound=None):
             if bound is not None:
                 bound = (bound[0], bound[1] + 1)
-            profile = kernel(n, jumps, bound)
-            return None if profile is None else (profile[0], profile[1] - 1)
+            return [(s, (d, total - 1)) for s, (d, total) in kernel(n, tail, free, bound)]
 
-        monkeypatch.setattr(search, "circulant_distance_profile", low_by_one)
+        monkeypatch.setattr(search, "circulant_group_profiles", low_by_one)
         with pytest.raises(AssertionError, match="re-measures"):
             run_search(32, 4, SearchConfig(workers=1))
 
