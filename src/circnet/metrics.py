@@ -16,11 +16,13 @@ kernel on a group of one.
 
 Bisection width is the minimum edge cut over exactly balanced bipartitions.
 `bisection_method` is the single policy choosing between the two solvers.
-Small graphs are solved exactly over every bipartition containing vertex 0:
-meet-in-the-middle over a low-half and a high-half mask, scanned as numpy
-table lookups plus one small matrix product per chunk, with whole rows and
-columns skipped when the cuts inside the two halves already reach the best
-cut found (a valid lower bound, so the result equals full enumeration).
+Small graphs are solved exactly, as a proof about a Kernighan-Lin cut: the
+vertices split into halves along that cut, and a meet-in-the-middle search
+over a low-half and a high-half mask looks only for smaller cuts. Rows and
+columns whose per-half cuts and crossing degrees already reach the best cut
+found are skipped (a valid lower bound, so the result equals full
+enumeration), and the rest are scored by popcounts of crossing-edge
+bitmasks, integer numpy with no matrix product.
 Larger graphs get a restarted multilevel Kernighan-Lin search that only ever
 holds balanced states; or an externally supplied partition whose cut is
 recomputed, never trusted. Each KL step takes the pair `_best_swap` defines:
@@ -38,8 +40,11 @@ go below (the larger of a spectral and an all-to-all congestion bound): a
 cut that meets it is optimal. The floor equals the width of every torus
 with even dimensions, every hypercube, ring x K4 and complete graph, so
 those are solved by their first cut: at 64 restarts `hypercube:10` and `torus:8,8,4,4` take
-0.02 s instead of 6 s. A cut is kept only on strict improvement, so the
-widths and sides are those of the unstopped solvers.
+0.02 s instead of 6 s. On graphs small enough for the exact solver the
+heuristic stops at the exact width instead, which also ends the restarts
+of a product's 32-vertex factor seeds at the first one that reaches it. A
+cut is kept only on strict improvement, so the widths and sides are those
+of the unstopped solvers.
 
 From n = 128 up, a heuristic whose first restart misses that floor runs the
 other restarts on a process pool. Restart i draws only from seed + i and
@@ -60,15 +65,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .topology import JumpSet, Topology, mixed_radix
+from .topology import JumpSet, Topology, from_edges, mixed_radix
 
 DEFAULT_EXACT_LIMIT = 32
 DEFAULT_RESTARTS = 64
 
 # Table sizes for the exact solver grow as 2**(n/2); 40 keeps them near 1M.
 _EXACT_HARD_CAP = 40
-# Entries of one block of candidate cuts in the exact solver.
-_EXACT_CHUNK = 4_000_000
+# Entries of one block of candidate cuts in the exact solver (a block's
+# 64-bit AND temporary then stays within 512 KiB per word).
+_EXACT_CHUNK = 1 << 16
 
 
 class DisconnectedError(ValueError):
@@ -363,18 +369,19 @@ def _half_tables(t: Topology, base: int, size: int) -> tuple[np.ndarray, np.ndar
 
     Built by doubling: the masks with top bit i extend those below 2**i, and
     adding vertex v to S changes cin by |N(v) & half| - 2 |N(v) & S| and the
-    share by deg(v) - 2 |N(v) & S|, one popcount for both.
+    share by deg(v) - 2 |N(v) & S|, one popcount for both. int32, which
+    holds every mask and count up to the exact solver's 20-vertex halves.
     """
     verts = range(base, base + size)
     inner = [sum(1 << (w - base) for w in t.adjacency[v] if w in verts) for v in verts]
-    cin = np.zeros(1 << size, dtype=np.int64)
-    share = np.zeros(1 << size, dtype=np.int64)
-    masks = np.arange(1 << size, dtype=np.int64)
+    cin = np.zeros(1 << size, dtype=np.int32)
+    share = np.zeros(1 << size, dtype=np.int32)
+    masks = np.arange(1 << size, dtype=np.int32)
     for i, v in enumerate(verts):
         lo, hi = 1 << i, 2 << i
-        twice = 2 * np.bitwise_count(masks[:lo] & inner[i]).astype(np.int64)
-        cin[lo:hi] = cin[:lo] + (inner[i].bit_count() - twice)
-        share[lo:hi] = share[:lo] + (len(t.adjacency[v]) - twice)
+        twice = np.bitwise_count(masks[:lo] & inner[i]) * np.uint8(2)
+        np.subtract(cin[:lo] + inner[i].bit_count(), twice, out=cin[lo:hi])
+        np.subtract(share[:lo] + len(t.adjacency[v]), twice, out=share[lo:hi])
     return cin, share
 
 
@@ -444,25 +451,76 @@ def bisection_lower_bound(t: Topology) -> int:
     return bound
 
 
+def _cross_table(bits: list[int], words: int) -> np.ndarray:
+    """For every subset S of a half (bit i of the mask is the half's vertex
+    i), the set of split-crossing edges at S as `words` 64-bit words: the OR
+    of bits[i] over i in S, built by doubling as in `_half_tables`."""
+    table = np.zeros((1 << len(bits), words), dtype=np.uint64)
+    for i, b in enumerate(bits):
+        lo = 1 << i
+        word = [(b >> (64 * w)) & ((1 << 64) - 1) for w in range(words)]
+        table[lo : 2 * lo] = table[:lo] | np.array(word, dtype=np.uint64)
+    return table
+
+
+def _gap(
+    x_l: np.ndarray | int,
+    x_h: np.ndarray | int,
+    size_l: np.ndarray | int,
+    size_h: np.ndarray | int,
+) -> np.ndarray:
+    """The least of cut(L | H) - cin(L) - cin(H) over masks L, H with these
+    crossing degrees and sizes: x(L) + x(H) less twice the most crossing
+    edges L and H can share, min(x(L), x(H), |L| |H|)."""
+    return x_l + x_h - 2 * np.minimum(np.minimum(x_l, x_h), size_l * size_h)
+
+
+def _sorted_groups(
+    masks: np.ndarray, group: np.ndarray, cin: np.ndarray, half: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The masks sorted by (group, cin), and the runs of one group in that
+    order: (masks, run group, run start, run end). One sort of packed int64
+    keys (group, cin, mask from the high bits down; cin < 2**(32 - half),
+    as at n <= 40, where cin <= 100)."""
+    key = (group[masks].astype(np.int64) << 32) | (cin[masks] << half) | masks
+    key.sort()
+    head = key >> 32
+    start = np.flatnonzero(np.diff(head, prepend=-1))
+    end = np.append(start[1:], len(key))
+    return key & ((1 << half) - 1), head[start], start, end
+
+
 def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
-    """Minimum balanced cut over every bipartition containing vertex 0.
+    """Minimum balanced cut: a Kernighan-Lin cut, proven optimal or beaten.
 
-    Vertices split into a low and a high index half, and a side A containing
-    vertex 0 is a pair (L, H) of a low-half and a high-half mask, grouped by
-    |L|. Its cut is a table lookup per mask plus the L-H edge count (a
-    popcount matrix times the H incidence matrix), evaluated chunk-wise.
+    One flat Kernighan-Lin refinement from a fixed seed gives a balanced
+    side and its cut UB, returned at once when it meets
+    `bisection_lower_bound`. Otherwise the vertices are relabelled so that
+    the side holding vertex 0 is the low half, and only the UB edges of
+    that cut cross between the halves. A side A containing vertex 0 is a
+    pair (L, H) of a low-half and a high-half mask (meet in the middle,
+    Horowitz and Sahni), and the search looks only for cuts below UB.
 
-    Branch-and-bound, exact: the cuts inside each half, cin(L) and cin(H),
-    are disjoint edge sets that both cross A, so cut(A) >= cin(L) + cin(H).
-    The best starts above any cut. Rows L are visited in ascending cin(L);
-    a group stops at the first row whose bound against its remaining columns
-    reaches the best cut found so far, and columns are dropped the same way.
-    Only pairs whose bound is >= the best are skipped, so the result equals
-    full enumeration. The groups stop as soon as the best cut meets
-    `bisection_lower_bound`, which no cut can beat: on tori, hypercubes and
-    complete graphs the first block is enough (K32 takes 5 ms instead of
-    0.2 s). Odd n raises BisectionInfeasibleError, and even n that
-    `bisection_method` does not call "exact" raises ExactLimitError.
+    With cin(S) the cut inside S's half and x(S) the crossing edges at S,
+    cut(A) = cin(L) + cin(H) + x(L) + x(H) - 2 e(L, H), where e(L, H) counts
+    the crossing edges between L and H. It is at most min(x(L), x(H)), and
+    at most |L| |H| in a simple graph, so cut(A) >= cin(L) + cin(H) + |x(L)
+    - x(H)|, more when |L| |H| is the smaller (K32 given as an edge list,
+    whose lower bound is 0, then needs no block at all). Masks that no
+    partner can join in a cut below UB by that bound are dropped first
+    (about nine in ten on the n = 32 circulants). Rows L and columns H are
+    grouped by (size, x) and sorted by cin inside each group; pairs
+    of a row group and a column group of the complementary size are visited
+    in ascending order of that bound, and inside a pair only the rows and
+    columns whose bound is below the best cut are scored, in blocks of
+    crossing-edge bitmasks (one 64-bit word per 64 crossing edges): e(L, H)
+    = popcount(XL[L] & XH[H]), integer numpy with no matrix product. The
+    search stops as soon as the best cut meets the lower bound. Only pairs
+    whose bound reaches the best are skipped, so the result equals full
+    enumeration; the starting cut, and so numpy's tie order inside
+    Kernighan-Lin, changes only the time. Odd n raises
+    BisectionInfeasibleError, and even n that `bisection_method` does not
+    call "exact" raises ExactLimitError.
     """
     n = t.n
     if n % 2:
@@ -472,67 +530,73 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
             f"n={n} exceeds the exact-enumeration limit {min(limit, _EXACT_HARD_CAP)};"
             " use bisection_heuristic"
         )
-
-    half = n // 2
-    cin_lo, base_lo = _half_tables(t, 0, half)
-    cin_hi, base_hi = _half_tables(t, half, half)
-    # low-half neighbor mask of each high vertex, for the L-H edge count
-    adj_low_of_high = np.array(
-        [sum(1 << w for w in t.adjacency[v] if w < half) for v in range(half, n)],
-        dtype=np.int64,
-    )
-    bit = np.arange(half, dtype=np.int64)
-
-    # cut = sum(deg in A) - 2 * internal(A) = base_lo[L] + base_hi[H]
-    # - 2 * |L-H edges|, so a block of cuts is one product of [coupling,
-    # base_lo, 1] rows and [-2 * H bits; 1; base_hi] columns. float32 holds
-    # these small integers exactly.
-    def lhs(rows: np.ndarray) -> np.ndarray:
-        out = np.empty((len(rows), half + 2), dtype=np.float32)
-        out[:, :half] = np.bitwise_count(rows[:, None] & adj_low_of_high[None, :])
-        out[:, half] = base_lo[rows]
-        out[:, half + 1] = 1
-        return out
-
-    def rhs(cols: np.ndarray) -> np.ndarray:
-        out = np.empty((half + 2, len(cols)), dtype=np.float32)
-        out[:half] = -2 * ((cols[None, :] >> bit[:, None]) & 1)
-        out[half] = 1
-        out[half + 1] = base_hi[cols]
-        return out
-
-    # Groups by |L|, rows sorted by cin, bounded by their lowest cin pair.
-    masks = np.arange(1 << half, dtype=np.int64)
-    pop = np.bitwise_count(masks)
-    groups = []
-    for size in range(1, half + 1):
-        rows = np.flatnonzero((pop == size) & ((masks & 1) == 1))
-        rows = rows[np.argsort(cin_lo[rows], kind="stable")]
-        cols = np.flatnonzero(pop == half - size)
-        groups.append((int(cin_lo[rows[0]] + cin_hi[cols].min()), rows, cols))
-    best = n * n  # above any cut, so the first block sets a real one
     floor = bisection_lower_bound(t)
+    best, side = _multilevel_cut(_work_graph(t), random.Random(0), coarsen_to=n)
+    if best <= floor:
+        return best
 
-    for bound, rows, cols in sorted(groups, key=lambda g: g[0]):
-        if bound >= best or best <= floor:
-            break  # and so does every later group
-        row_cin, col_cin = cin_lo[rows], cin_hi[cols]
-        right = None
-        pos = 0
-        while pos < len(rows) and best > floor:
-            # rows are ascending in cin, so row_cin[pos] bounds the rest
-            keep = col_cin + row_cin[pos] < best
-            if right is None or not keep.all():
-                cols, col_cin = cols[keep], col_cin[keep]
-                right = rhs(cols)
-            if len(cols) == 0:
+    # relabel: vertex 0's side first, each half in index order
+    half = n // 2
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.argsort(side != side[0], kind="stable")] = np.arange(n)
+    r = from_edges(n, [(int(pos[u]), int(pos[v])) for u, v in t.edges()])
+    cin_lo, share_lo = _half_tables(r, 0, half)
+    cin_hi, share_hi = _half_tables(r, half, half)
+    bits_lo, bits_hi = [0] * half, [0] * half
+    crossing = [(u, v) for u, v in r.edges() if u < half <= v]
+    for e, (u, v) in enumerate(crossing):
+        bits_lo[u] |= 1 << e
+        bits_hi[v - half] |= 1 << e
+    words = max(1, -(-len(crossing) // 64))
+
+    # Rows hold vertex 0 (odd masks); columns are every high-half mask. A
+    # mask's group is (|S|, x(S)), flattened to |S| * len(xs) + x(S). Only
+    # masks that some partner could join in a cut below the best are kept:
+    # cin plus the least cin(partner) + gap over the partner groups.
+    xs = np.arange(len(crossing) + 1)
+    size = np.bitwise_count(np.arange(1 << half, dtype=np.int32)).astype(np.int32)
+    g_lo, g_hi = size * len(xs) + share_lo - cin_lo, size * len(xs) + share_hi - cin_hi
+    least_lo, least_hi = np.full((2, half + 1, len(xs)), n * n, dtype=np.int32)
+    np.minimum.at(least_lo.reshape(-1), g_lo[1::2], cin_lo[1::2])
+    np.minimum.at(least_hi.reshape(-1), g_hi, cin_hi)
+    reach_lo, reach_hi = np.empty_like(least_lo), np.empty_like(least_hi)
+    for a in range(half + 1):
+        gap = _gap(xs[:, None], xs, a, half - a)
+        reach_lo[a] = (least_hi[half - a] + gap).min(axis=1)
+        reach_hi[half - a] = (least_lo[a][:, None] + gap).min(axis=0)
+    keep_lo = np.flatnonzero(cin_lo[1::2] + reach_lo.reshape(-1)[g_lo[1::2]] < best) * 2 + 1
+    keep_hi = np.flatnonzero(cin_hi + reach_hi.reshape(-1)[g_hi] < best)
+    rows, r_group, r_start, r_end = _sorted_groups(keep_lo, g_lo, cin_lo, half)
+    cols, c_group, c_start, c_end = _sorted_groups(keep_hi, g_hi, cin_hi, half)
+    (r_size, r_x), (c_size, c_x) = divmod(r_group, len(xs)), divmod(c_group, len(xs))
+    row_cin, col_cin = cin_lo[rows], cin_hi[cols]
+    row_xs, col_xs = _cross_table(bits_lo, words)[rows], _cross_table(bits_hi, words)[cols]
+
+    # (row group, column group) pairs whose sizes add up to half, by bound
+    gi, gj = np.nonzero(r_size[:, None] + c_size[None, :] == half)
+    xl, xh = r_x[gi], c_x[gj]
+    gap = _gap(xl, xh, r_size[gi], c_size[gj])
+    bound = row_cin[r_start[gi]] + col_cin[c_start[gj]] + gap
+    for k in np.argsort(bound, kind="stable"):
+        if bound[k] >= best or best <= floor:
+            break  # and so does every later pair
+        a0, a1, b0, b1 = r_start[gi[k]], r_end[gi[k]], c_start[gj[k]], c_end[gj[k]]
+        rc, cc, xr, xc = row_cin[a0:a1], col_cin[b0:b1], row_xs[a0:a1], col_xs[b0:b1]
+        d, base = int(gap[k]), int(xl[k] + xh[k])
+        at = 0
+        while best > floor:
+            # rows and columns are ascending in cin: these bound the rest
+            stop = int(np.searchsorted(rc, best - d - cc[0]))
+            if stop <= at:
                 break
-            limit = int(np.searchsorted(row_cin, best - col_cin.min()))
-            if limit <= pos:
-                break
-            end = min(limit, pos + max(1, _EXACT_CHUNK // max(len(cols), half)))
-            best = min(best, int((lhs(rows[pos:end]) @ right).min()))
-            pos = end
+            width = int(np.searchsorted(cc, best - d - rc[at]))
+            end = min(stop, at + max(1, _EXACT_CHUNK // width))
+            # cut - cin(L) - base for each pair of the block: cin(H) - 2 e(L, H)
+            score = cc[:width] - 2 * np.bitwise_count(xr[at:end, None, 0] & xc[:width, 0])
+            for w in range(1, words):
+                score -= 2 * np.bitwise_count(xr[at:end, None, w] & xc[:width, w])
+            best = min(best, int((score.min(axis=1) + rc[at:end]).min()) + base)
+            at = end
     return best
 
 
@@ -946,8 +1010,12 @@ def _best_balanced_side(
 
     Restart i (`_restart`) starts from a lifted factor side while those last
     and from a V-cycle otherwise. Perturbation rounds stop once the
-    restart's cut meets `bisection_lower_bound`, and restarts stop once the
-    best cut does. Restart 0 runs here. When it misses the floor and n >=
+    restart's cut meets a floor, and restarts stop once the best cut does.
+    The floor is the width itself, from `bisection_exact`, when
+    `bisection_method` calls n "exact" (as for the 32-vertex factors of
+    the n = 128 product), and `bisection_lower_bound` otherwise; no cut
+    goes below either, so stopping there changes no cut and no side.
+    Restart 0 runs here. When it misses the floor and n >=
     `_POOL_MIN_N`, restarts 1.. run on min(workers, restarts - 1) processes
     (`workers` defaults to `available_cores()`; 1 runs them here in order).
     Restart i draws only from seed + i, and the result is the first minimum
@@ -958,7 +1026,7 @@ def _best_balanced_side(
     n = t.n
     if n == 2:
         return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
-    floor = bisection_lower_bound(t)
+    floor = bisection_exact(t) if bisection_method(n) == "exact" else bisection_lower_bound(t)
     job = (_work_graph(t), _factor_lift_seeds(t, restarts, seed, workers), seed, floor)
     runs = [_job_restart(job, 0)]
     procs = min(available_cores() if workers is None else workers, restarts - 1)

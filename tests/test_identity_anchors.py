@@ -31,6 +31,11 @@ SIDE_SHA256 = {
     ("hypercube:7", 0): "d8ad0501d31785e59870345e43108fc4c0f3fd3e0c106fd9fbd151f949d841fb",
     ("torus:8,4,4", 3): "3d9c5e81dd09d4642aa732d43d4dd3ebc2dc1415d8dc045d111fde5d65eff267",
     ("product:ring:8*complete:4", 0): "0e35a53871304db5962bedd5562462cf086ab5dd2fa0fdc00cf15902211feaa1",
+    # exact-sized graphs and a product with an exact-sized factor: the
+    # restarts stop at the first cut that meets the exact width
+    ("product:circulant:32:1,7*complete:4", 0): "be1ad13a4f8fa5fced5b8aa4eadd77c0176ffd485afcff590acee1943ade162b",
+    ("circulant:32:1,12", 0): "d2e1405e77e8c32b1623ed7d2f6aab76291ca3b0f05951836dc479f45eb025fe",
+    ("circulant:32:1,7", 3): "1d4809c2c55e2d52510fd3754cba01c45f658f260458540ee4e7a43afd346cef",
 }
 
 # int8 side of _best_balanced_side(t, restarts, seed) at sizes where D ties

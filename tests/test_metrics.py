@@ -507,7 +507,6 @@ class TestBisectionExact:
             bisection_exact(circulant(JumpSet(64, (1, 2))), limit=32)
 
     @given(st_graph)
-    @settings(max_examples=40)
     def test_matches_brute_enumeration(self, params):
         n, p, seed = params
         assume(n % 2 == 0)
@@ -562,10 +561,11 @@ st_sparse_graph = st.tuples(
 
 class TestBisectionExactSparse:
     @given(st_sparse_graph)
-    @settings(max_examples=60)
     def test_matches_brute_enumeration(self, params):
         # Sparse graphs often have a minimum cut made only of edges inside
-        # the two halves, where the per-half bound is tight.
+        # the two halves, where the per-half bound is tight, and their
+        # edge-list form has a lower bound of 0, so nothing stops the search
+        # before it has ruled every smaller cut out.
         n, p, seed = params
         t = random_graph(random.Random(seed), n, p)
         assert bisection_exact(t, limit=16) == brute_bisection(t)
@@ -575,6 +575,76 @@ class TestBisectionExactSparse:
         # meets the per-half bound exactly.
         t = from_edges(10, [(1, 9), (2, 8)])
         assert bisection_exact(t, limit=16) == 0 == brute_bisection(t)
+
+
+def _start_cut(t):
+    """The Kernighan-Lin cut `bisection_exact` starts from."""
+    return metrics._multilevel_cut(metrics._work_graph(t), random.Random(0), coarsen_to=t.n)[0]
+
+
+def _edge_copy(t):
+    """t rebuilt from its edge list: same width, lower bound 0."""
+    return from_edges(t.n, t.edges())
+
+
+class TestBisectionExactProof:
+    """The exact solver proves its starting Kernighan-Lin cut optimal or
+    finds a smaller one, splitting the halves along that cut."""
+
+    @pytest.mark.parametrize("spec", ["circulant:12:1,2,4", "circulant:16:1,2,6"])
+    def test_start_cut_above_the_width(self, spec):
+        t = parse_spec(spec)
+        width = brute_bisection(t)
+        assert _start_cut(t) > width
+        assert bisection_exact(t) == width
+        # with no floor to stop at, the search runs until nothing can beat it
+        copy = _edge_copy(t)
+        assert bisection_lower_bound(copy) == 0 and _start_cut(copy) > width
+        assert bisection_exact(copy) == width
+
+    def test_edge_list_graph_with_a_zero_lower_bound(self):
+        t = _edge_copy(circulant(JumpSet(32, (1, 7))))
+        assert bisection_lower_bound(t) == 0
+        assert bisection_exact(t) == 16
+
+    # more than 64 crossing edges: two and four 64-bit words per mask (K32
+    # itself stops at its lower bound, which equals the width)
+    @pytest.mark.parametrize(
+        "t, width",
+        [(halves_biclique(32), 128), (_edge_copy(complete(32)), 256), (complete(32), 256)],
+        ids=["halves_biclique32", "complete32_edges", "complete32"],
+    )
+    def test_wide_crossing_masks(self, t, width):
+        assert bisection_exact(t) == width
+
+    def test_wide_crossing_masks_from_a_poor_start(self):
+        # From the index split all 81 edges of K_{9,9} cross, and the edges
+        # at low vertices 7 and 8 are the ones past the first 64-bit word.
+        # The triangle {0, 7, 8} puts both in every minimum side, so the
+        # width 41 is found only when the second word is counted.
+        t = from_edges(18, halves_biclique(18).edges() + [(0, 7), (0, 8), (7, 8)])
+        side = np.repeat(np.array([0, 1], dtype=np.int8), 9)
+        with mock.patch.object(metrics, "_multilevel_cut", return_value=(81, side)):
+            assert bisection_exact(t, limit=18) == brute_bisection(t) == 41
+
+    @given(st_graph, st.randoms(use_true_random=False))
+    def test_any_starting_side_gives_the_width(self, params, rnd):
+        # the relabelling and the search hold for every balanced start, not
+        # only for the one Kernighan-Lin finds
+        n, p, seed = params
+        assume(n % 2 == 0)
+        t = random_graph(random.Random(seed), n, p)
+        side = np.ones(n, dtype=np.int8)
+        side[rnd.sample(range(n), n // 2)] = 0
+        start = (cut_size(t, set(np.flatnonzero(side == 0).tolist())), side)
+        with mock.patch.object(metrics, "_multilevel_cut", return_value=start):
+            assert bisection_exact(t, limit=16) == brute_bisection(t)
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_small_blocks(self, chunk):
+        t = _edge_copy(circulant(JumpSet(16, (1, 2, 6))))
+        with mock.patch.object(metrics, "_EXACT_CHUNK", chunk):
+            assert bisection_exact(t) == brute_bisection(t) == 16
 
 
 st_work_graph = st.integers(2, 40).flatmap(
@@ -765,6 +835,27 @@ class TestBisectionHeuristic:
         ]
         for t in rows:
             assert bisection_heuristic(t, restarts=16, seed=0) == bisection_exact(t)
+
+    @pytest.mark.parametrize("spec, width", [("circulant:32:1,12", 14), ("circulant:32:1,7", 16)])
+    def test_stops_at_the_exact_width_above_the_floor(self, spec, width):
+        # the spectral floor is below the width, so only the exact width
+        # stops the restarts early; the full restart loop picks the same cut
+        t = parse_spec(spec)
+        assert bisection_lower_bound(t) < width == bisection_exact(t)
+        assert bisection_heuristic(t, restarts=16, seed=0) == width
+        cut, side = _best_balanced_side(t, 16, 0)
+        want_cut, want_side = oracles.best_balanced_side(t, 16, 0)
+        assert (cut, side.tobytes()) == (want_cut, want_side.tobytes())
+
+    @given(st_graph, st.integers(0, 3))
+    @example((16, 0.25, 6), 0)  # restart 0 reaches 5 before restart 1 reaches the width 4
+    def test_exact_floor_keeps_the_full_loops_side(self, params, seed):
+        n, p, graph_seed = params
+        assume(n % 2 == 0)
+        t = random_graph(random.Random(graph_seed), n, p)
+        cut, side = _best_balanced_side(t, 4, seed)
+        want_cut, want_side = oracles.best_balanced_side(t, 4, seed)
+        assert (cut, side.tobytes()) == (want_cut, want_side.tobytes())
 
     def test_hypercube_analytic(self):
         for d in range(2, 7):
