@@ -47,9 +47,10 @@ cut is kept only on strict improvement, so the widths and sides are those
 of the unstopped solvers.
 
 From n = 128 up, a heuristic whose first restart misses that floor runs the
-other restarts on a process pool. Restart i draws only from seed + i and
-the minimum is taken by (cut, index), so widths and sides do not depend on
-the worker count.
+other restarts on a process pool, taken in index order up to the first that
+meets the floor; a later one neither counts nor raises, as with one worker.
+Restart i draws only from seed + i and the minimum is taken by (cut, index),
+so widths, sides and errors do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import os
 import random
 from bisect import bisect_left, insort
 from collections.abc import Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -978,29 +979,21 @@ def _pool_restart(i: int) -> tuple[int, np.ndarray]:
 
 
 def _pooled_restarts(job: _Job, restarts: int, workers: int) -> list[tuple[int, np.ndarray]]:
-    """Restarts 1..restarts-1 on `workers` processes, returned in index order
-    up to the first that meets the floor; later ones are cancelled or
-    dropped, as the sequential loop never runs them. The pool is shut down
-    before this returns or raises."""
+    """Restarts 1..restarts-1 on `workers` processes, taken in index order up
+    to the first that meets the floor. A restart after it neither counts
+    nor raises, as the sequential loop never runs it; one before it raises
+    here. The pool is shut down before this returns or raises."""
     floor = job[-1]
     pool = ProcessPoolExecutor(workers, initializer=_init_pool_worker, initargs=(job,))
+    runs = []
     try:
-        index = {pool.submit(_pool_restart, i): i for i in range(1, restarts)}
-        runs: dict[int, tuple[int, np.ndarray]] = {}
-        stop = restarts
-        pending = set(index)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                i = index[fut]
-                if i < stop:
-                    runs[i] = fut.result()
-                    if runs[i][0] <= floor:
-                        stop = i
-            pending = {fut for fut in pending if index[fut] < stop}
+        for run in pool.map(_pool_restart, range(1, restarts)):
+            runs.append(run)
+            if run[0] <= floor:
+                break
     finally:
         pool.shutdown(cancel_futures=True)
-    return [runs[i] for i in sorted(runs) if i <= stop]
+    return runs
 
 
 def _best_balanced_side(
@@ -1018,10 +1011,10 @@ def _best_balanced_side(
     Restart 0 runs here. When it misses the floor and n >=
     `_POOL_MIN_N`, restarts 1.. run on min(workers, restarts - 1) processes
     (`workers` defaults to `available_cores()`; 1 runs them here in order).
-    Restart i draws only from seed + i, and the result is the first minimum
-    by index among the restarts up to the first that meets the floor, so
-    the cut and side are those of the full sequential loop for any worker
-    count.
+    Restart i draws only from seed + i. Restarts are taken in index order up
+    to the first that meets the floor (a later one neither counts nor raises,
+    as with one worker), and the result is the first minimum by index among
+    them: the sequential loop's cut, side and error for any worker count.
     """
     n = t.n
     if n == 2:

@@ -564,7 +564,9 @@ def _run_states(
     each finished chunk's state replaces its range's entry in `states`.
 
     The checkpoint is written once before the first chunk, so a path that
-    cannot be written fails before anything is scanned."""
+    cannot be written fails before anything is scanned. When a pooled chunk
+    raises, the chunks still queued are cancelled, so the pool's exit waits
+    only for the ones already started."""
 
     def checkpoint() -> None:
         if config.checkpoint_path is not None:
@@ -592,14 +594,18 @@ def _run_states(
             return pool.submit(_scan_chunk, n, plan, st, chunk_end(st))
 
         running = {submit(states[i]): i for i in pending}
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for fut in done:
-                i = running.pop(fut)
-                st = states[i] = fut.result()
-                checkpoint()
-                if st.cursor < st.rank_range.end:
-                    running[submit(st)] = i
+        try:
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    i = running.pop(fut)
+                    st = states[i] = fut.result()
+                    checkpoint()
+                    if st.cursor < st.rank_range.end:
+                        running[submit(st)] = i
+        finally:
+            for fut in running:
+                fut.cancel()
 
 
 def run_search(

@@ -8,6 +8,7 @@ import functools
 import itertools
 import multiprocessing
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -1073,6 +1074,31 @@ class TestPooledRestarts:
             _best_balanced_side(parse_spec("circulant:128:1,8,54"), 4, 0, 2)
         assert type(info.value) is RuntimeError
         assert info.value.args == ("restart 2 failed",)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched restart reaches pool workers only through fork",
+    )
+    def test_restart_after_the_floor_hit_neither_counts_nor_raises(self, monkeypatch):
+        # restart 1 meets the floor late, restarts 2 and 3 fail at once: one
+        # worker never runs them, so a pool must not raise their errors
+        restart = metrics._restart
+
+        def patched(g, seed_side, i, seed, floor):
+            if i == 0:
+                return restart(g, seed_side, i, seed, floor)
+            if i == 1:
+                time.sleep(0.3)
+                return floor, (np.arange(g.n) % 2).astype(np.int8)
+            raise RuntimeError(f"restart {i} failed")
+
+        monkeypatch.setattr(metrics, "_restart", patched)
+        t = parse_spec("circulant:128:1,8,54")
+        cut, side = _best_balanced_side(t, 4, 0, 1)
+        assert cut == bisection_lower_bound(t)
+        got_cut, got_side = _best_balanced_side(t, 4, 0, 2)
+        assert (got_cut, got_side.tobytes()) == (cut, side.tobytes())
         assert multiprocessing.active_children() == []
 
     def test_one_worker_starts_no_process(self, monkeypatch):

@@ -8,8 +8,10 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import tempfile
+import time
 from collections import deque
 from concurrent.futures import Future
 from functools import lru_cache
@@ -900,3 +902,34 @@ class TestWorkerCount:
         # n = 128: the optimal classes' bisections take the heuristic
         records, _ = run_search(128, 6, SearchConfig(workers=1, restarts=3))
         assert records and all(not r.metrics.bisection_exact for r in records)
+
+
+class TestScanPoolFailure:
+    """A failed chunk ends the pooled scan without running the queued ones."""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched kernel reaches pool workers only through fork",
+    )
+    def test_queued_chunks_are_cancelled_after_a_chunk_fails(self, tmp_path, monkeypatch):
+        # (64, 4) pins jump 1 and scans two free jumps: one kernel call per
+        # chunk, and range 0's first chunk is the group with free jumps (2, 3)
+        real = search.circulant_group_profiles
+
+        def recorded(n, tail, free, bound=None):
+            os.close(tempfile.mkstemp(dir=tmp_path)[0])
+            if bound is None and free[0] == 2:
+                raise RuntimeError("chunk failed")
+            time.sleep(0.2)
+            return real(n, tail, free, bound)
+
+        monkeypatch.setattr(search, "circulant_group_profiles", recorded)
+        plan = search._scan_plan(64, jump_space(64, 4, True))
+        ranges = partition_ranks(plan.size, 12)
+        assert len(ranges) == 12
+        states = [_RangeState(rank_range=r, cursor=r.start) for r in ranges]
+        config = SearchConfig(workers=2, checkpoint_every=2)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            search._run_states(64, 4, plan, states, config)
+        # all 12 first chunks are submitted at once; the queued ones must not run
+        assert len(list(tmp_path.iterdir())) < 12
