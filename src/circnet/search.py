@@ -12,23 +12,32 @@ boundary.
 A connected jump set (gcd(n, S) = 1) either holds a unit s, and then
 multiplying the set by s^-1 mod n (Adam's isomorphism) gives an isomorphic
 set that contains jump 1 and lies in the same space (the jump n/2 of an odd
-degree maps to itself), or draws all its free jumps from the non-units. So
-when the requested plan leaves jump 1 free, the scan walks a *scan plan* of
-two parts that share one rank space: the *pinned* plan, the requested plan
-with jump 1 pinned and r - 1 free jumps from [2, hi], takes ranks [0, P),
-and the *unit-free* plan, the same fixed jumps and r free jumps from the
-non-units in [lo, hi], takes ranks [P, P + Q). The unit-free plan is
-dropped when gcd(n, fixed, non-units) > 1, since then none of its sets is
-connected; that holds for every prime power p^a, whose non-units are all
-divisible by p. For (255, 6), 255 = 3 * 5 * 17, the scan plan holds 7,875 +
-C(63, 3) = 47,586 candidates instead of 333,375. A requested plan that
-already pins jump 1 (the reduced power-of-two plan) is the scan plan
-itself. The scan plan's best is the space's best, and the space's ties are
-the unit multiples of the scan plan's ties that lie in the requested plan;
-`_unit_closure` recovers them after the merge (a unit multiple of a
-unit-free tie is unit-free, so it is a tie already). The merged `scanned`
-counts every candidate of the requested space: those measured, those in
-skipped groups, and those that are unit multiples of a scanned one.
+degree maps to itself), or draws all its free jumps from the non-units. A
+unit-free set pins a jump as well: let g be the smallest gcd(s, n) over its
+free jumps, reached at s = g t. Units mod n map onto the units mod n/g, so
+some unit u has u t = 1 mod n/g, and u s = g mod n; multiplying by u keeps
+every jump's gcd with n. So when the requested plan leaves jump 1 free, the
+scan walks a *scan plan* whose parts share one rank space: first the
+*pinned* plan, the requested plan with jump 1 pinned and r - 1 free jumps
+from [2, hi], then one *divisor part* for each value g of gcd(s, n) over
+the non-units s in [lo, hi], in ascending order of g: the fixed jumps and g,
+with r - 1 free jumps from the non-units s != g with gcd(s, n) >= g. The
+parts are disjoint (g is the smallest gcd of every set of its part), and
+every connected unit-free set has a unit multiple in exactly one. A divisor
+part is dropped when gcd(n, fixed, g, its ground) > 1, since then none of
+its sets is connected, or when its ground holds fewer than r - 1 jumps;
+every part is dropped for a prime power p^a, whose non-units are all
+divisible by p. For (255, 6), 255 = 3 * 5 * 17, the scan plan holds 7,875
+pinned sets and divisor parts of C(62, 2) = 1,891 (g = 3), C(30, 2) = 435
+(g = 5) and C(14, 2) = 91 (g = 15) sets, 10,292 candidates instead of
+333,375; the parts of g = 17, 51 and 85 hold only multiples of 17 and are
+dropped. A requested plan that already pins jump 1 (the reduced
+power-of-two plan) is the scan plan itself. The scan plan's best is the
+space's best, and the space's ties are the unit multiples of the scan
+plan's ties that lie in the requested plan; `_unit_closure` recovers them
+after the merge. The merged `scanned` counts every candidate of the
+requested space: those measured, those in skipped groups, and those that
+are unit multiples of a scanned one.
 
 Survivors are grouped into unit-multiplication classes, and each class is
 measured once by `metrics.compute_metrics` on its canonical representative:
@@ -65,8 +74,9 @@ the scan plan; a resumed run continues each range from its cursor. A
 loaded checkpoint is not trusted: every field must have its JSON type
 (integral ranks, a boolean `reduced`), its total must be the scan plan's
 size, and every carried candidate must lie in one of the scan plan's parts
-(a pinned one contains jump 1, a unit-free one has only non-units as free
-jumps) and re-measure to its range's best.
+(a set of the pinned plan contains jump 1; a set of a divisor part holds
+its g and draws its other free jumps from that part's ground) and
+re-measure to its range's best.
 """
 
 from __future__ import annotations
@@ -169,7 +179,8 @@ def count_space(n: int, k: int, reduced: bool = True) -> int:
 
 def count_scan_ranks(n: int, k: int, reduced: bool = True) -> int:
     """Ranks the scan walks for the (n, k) space: the size of its scan plan
-    (`_scan_plan`), which is also a checkpoint's `total`."""
+    (`_scan_plan`), the pinned sets and then the divisor parts, which is
+    also a checkpoint's `total`."""
     return _scan_plan(n, jump_space(n, k, reduced)).size
 
 
@@ -203,15 +214,21 @@ class _ScanPlan:
 def _scan_plan(n: int, plan: JumpSpacePlan) -> _ScanPlan:
     """The plan the scan walks for the space `plan` (see the module
     docstring). When `plan` leaves jump 1 free: `plan` with jump 1 pinned,
-    then the unit-free plan, which is dropped when gcd(n, fixed, non-units)
-    > 1. Otherwise `plan` itself."""
+    then one divisor part for each g = gcd(s, n) over the non-units s, in
+    ascending order of g: jump g pinned beside the fixed jumps, and r - 1
+    free jumps from the non-units s != g with gcd(s, n) >= g. A part is
+    dropped when gcd(n, fixed, g, its ground) > 1 or its ground holds fewer
+    than r - 1 jumps. Otherwise `plan` itself."""
     if plan.lo != 1:
         return _ScanPlan((plan,))
     pinned = JumpSpacePlan(tuple(sorted((*plan.fixed, 1))), 2, plan.hi, plan.r - 1)
-    non_units = tuple(s for s in plan.ground if math.gcd(s, n) > 1)
-    if math.gcd(n, *plan.fixed, *non_units) > 1:
-        return _ScanPlan((pinned,))
-    return _ScanPlan((pinned, _GroundPlan(plan.fixed, non_units, plan.r)))
+    parts: list[JumpSpacePlan | _GroundPlan] = [pinned]
+    gcds = {s: d for s in plan.ground if (d := math.gcd(s, n)) > 1}
+    for g in sorted(set(gcds.values())):
+        ground = tuple(s for s, d in gcds.items() if d >= g and s != g)
+        if len(ground) >= plan.r - 1 and math.gcd(n, *plan.fixed, g, *ground) == 1:
+            parts.append(_GroundPlan(tuple(sorted((*plan.fixed, g))), ground, plan.r - 1))
+    return _ScanPlan(tuple(parts))
 
 
 def _in_plan(plan: JumpSpacePlan | _GroundPlan, c: tuple) -> bool:
@@ -514,7 +531,8 @@ def load_checkpoint(
                     f"reduced={rec['reduced']}, total={rec['total']}), "
                     f"not (n={n}, k={k}, reduced={reduced}, total={total}); "
                     "totals count the ranks of the scan plan: the sets with jump 1 "
-                    "pinned, then those whose free jumps are all non-units"
+                    "pinned, then the unit-free sets in one part per divisor g of n, "
+                    "with jump g pinned"
                 )
             rng = RankRange(rec["range"]["start"], rec["range"]["end"])
             cursor = rec["cursor_rank"]

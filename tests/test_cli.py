@@ -300,12 +300,12 @@ class TestSearchCommand:
         assert "scan rate: n/a" in captured.err
 
     @pytest.mark.parametrize(
-        "n, k, ranks", [(257, 6, 8_001), (255, 6, 47_586), (32, 4, search.count_space(32, 4))]
+        "n, k, ranks", [(257, 6, 8_001), (255, 6, 10_292), (32, 4, search.count_space(32, 4))]
     )
     def test_scan_rate_counts_the_ranks_walked(self, n, k, ranks, monkeypatch, capsys):
         # With the scan time pinned to 0.5 s the rate shows its numerator:
-        # the ranks of the scan plan (the pinned sets, then the unit-free
-        # ones), not `scanned`, the size of the requested space.
+        # the ranks of the scan plan (the pinned sets, then the divisor
+        # parts), not `scanned`, the size of the requested space.
         real = cli.run_search
 
         def half_second(*args):

@@ -40,7 +40,7 @@ from circnet.search import (
     write_results,
     _RangeState,
 )
-from circnet.topology import JumpSet, adam_multiply, circulant, jump_space
+from circnet.topology import JumpSet, adam_multiply, circulant, jump_space, unit_image
 
 
 def bfs_profile_oracle(n, jumps):
@@ -434,10 +434,12 @@ class TestPrimePowerPinning:
         [
             (257, 6, True, 341_376, 8_001),
             (127, 8, True, 595_665, 37_820),
-            (255, 6, True, 333_375, 47_586),  # 255 = 3 * 5 * 17
-            (35, 6, False, 680, 130),
-            (105, 6, True, binomial(52, 3), 4_551),  # 105 = 3 * 5 * 7
-            (1000, 10, True, binomial(499, 5), 21_788_443_314),  # 1000 = 2^3 * 5^3
+            (255, 6, True, 333_375, 10_292),  # 255 = 3 * 5 * 17
+            (35, 6, False, 680, 126),
+            (105, 6, True, binomial(52, 3), 1_777),  # 105 = 3 * 5 * 7
+            (210, 6, True, binomial(104, 3), 12_101),  # 210 = 2 * 3 * 5 * 7
+            (1000, 10, True, binomial(499, 5), 2_940_667_465),  # 1000 = 2^3 * 5^3
+            (960, 10, True, binomial(479, 5), 3_231_912_066),  # 960 = 2^6 * 3 * 5
             (1024, 10, False, binomial(511, 5), binomial(510, 4)),
             (1024, 10, True, binomial(510, 4), binomial(510, 4)),
         ],
@@ -460,7 +462,7 @@ def st_multi_prime_case(draw):
     factors, a feasible odd or even degree k, either at most 10 with a
     requested space of at most 1000 candidates or n - 2 or more, 1 to 3
     workers, and a chunk size from 1 to the scan plan's size, so that chunk
-    ends fall before, at and after the first rank of the unit-free plan.
+    ends fall before, at and after the first rank of the divisor parts.
     `reduced` is ignored for these n."""
     n = draw(st.sampled_from(_MULTI_PRIME))
     ks = [
@@ -478,25 +480,25 @@ def st_multi_prime_case(draw):
 
 class TestUnitFreePlan:
     """For n with two or more prime factors, `run_search` scans the pinned
-    plan and then the unit-free plan in one rank space, and recovers the
+    plan and then the divisor parts in one rank space, and recovers the
     rest of the ties by unit multiplication; the outcome must be the full
     space's, scanned plainly and put through the same class step."""
 
     @given(st_multi_prime_case())
     # (3, 5, 6) is one of the 31 ties at (15, 6) and holds no unit: it is
-    # the unit-free plan's one candidate, at rank P = 15
+    # the one candidate of the divisor part of 3, at rank P = 15
     @example((15, 6, True, 3, 15))
     @example((15, 6, False, 1, 1))
-    # P = 120 of 130 ranks; chunks of 7 end at 119 and 126 in one range,
-    # and at 115 and 122 in the third of three ranges, [87, 130)
+    # P = 120 of 126 ranks; chunks of 7 end at 119 and 126 in one range and
+    # in the third of three ranges, [84, 126)
     @example((35, 6, False, 1, 7))
     @example((35, 6, False, 3, 7))
     @example((35, 6, True, 2, 130))
-    # P = 7 of 10 ranks: (3, 5), (3, 6) and (5, 6)
+    # P = 6 of 8 ranks: (3, 5) and (3, 6); (5, 6) is 8 * (3, 5)
     @example((15, 4, False, 1, 4))
-    # P = 1275 of 4,551 ranks
+    # P = 1275 of 1,777 ranks
     @example((105, 6, True, 2, 1000))
-    # odd degree: jump 9 fixed, P = 7 of 17 ranks
+    # odd degree: jump 9 fixed, P = 7 of 11 ranks
     @example((18, 5, True, 3, 3))
     @example((18, 5, False, 1, 1))
     def test_matches_full_space_scan(self, case):
@@ -517,6 +519,51 @@ class TestUnitFreePlan:
         )
         assert merged.candidates == full.candidates
         assert _results_bytes(got) == _results_bytes(want)
+
+
+class TestDivisorParts:
+    """For n with two or more prime factors, the scan plan's parts after the
+    pinned one are its divisor parts, one for each smallest gcd g of a
+    unit-free set's free jumps with n. Checked by brute force over every
+    feasible space of at most 1,000 sets."""
+
+    @pytest.mark.parametrize("n", _MULTI_PRIME)
+    def test_each_connected_unit_free_set_covered_once(self, n):
+        units = [u for u in range(1, n // 2 + 1) if math.gcd(u, n) == 1]
+        spaces = 0
+        for k in range(3, n):
+            if k % 2 == 1 and n % 2 == 1:
+                continue
+            plan = jump_space(n, k)
+            if plan.size > 1000:
+                continue
+            spaces += 1
+            pinned, *parts = search._scan_plan(n, plan).parts
+            assert 1 in pinned.fixed
+            for part in parts:
+                (g,) = set(part.fixed) - set(plan.fixed)
+                assert n % g == 0 and part.r == plan.r - 1, (k, part)
+            members = [
+                {tuple(sorted((*part.fixed, *free)))
+                 for free in itertools.combinations(part.ground, part.r)}
+                for part in parts
+            ]
+            # Every set of a part is unit-free and lies in the requested
+            # plan, and no set lies in two parts.
+            for sets in members:
+                for c in sets:
+                    assert search._in_plan(plan, c), (k, c)
+                    assert all(math.gcd(s, n) > 1 for s in c), (k, c)
+            assert sum(map(len, members)) == len(set().union(*members))
+            # Every connected unit-free set has a unit multiple in exactly
+            # one part.
+            for free in itertools.combinations(plan.ground, plan.r):
+                c = (*plan.fixed, *free)
+                if math.gcd(n, *c) > 1 or any(math.gcd(s, n) == 1 for s in c):
+                    continue
+                images = {unit_image(n, c, u) for u in units}
+                assert sum(bool(images & sets) for sets in members) == 1, (k, c)
+        assert spaces
 
 
 class TestDisconnectedSetsSkipped:
@@ -641,33 +688,59 @@ class TestPinnedCheckpoint:
 
 class TestUnitFreeCheckpoint:
     """At (35, 6), checkpoints hold the ranks of both parts of the scan plan:
-    the pinned plan's C(16, 2) = 120 ranks [0, 120), then the unit-free
-    plan's C(5, 3) = 10 sets of the non-units 5, 7, 10, 14 and 15, ranks
-    [120, 130). The requested space has C(17, 3) = 680."""
+    the pinned plan's C(16, 2) = 120 ranks [0, 120), then the divisor part
+    of g = 5, jump 5 pinned and two free jumps from the non-units 7, 10, 14
+    and 15, C(4, 2) = 6 ranks [120, 126). The part of g = 7 would draw its
+    two free jumps from 14 alone and is dropped. The requested space has
+    C(17, 3) = 680."""
 
-    def test_full_space_checkpoint_refused(self, tmp_path, monkeypatch, capsys):
-        plan = jump_space(35, 6)
-        walked = search._scan_chunk(35, plan, _RangeState(RankRange(0, 680), 0), 400)
-        stale = tmp_path / "full.jsonl"
-        save_checkpoint(stale, 35, 6, True, 680, [walked])
+    @staticmethod
+    def _assert_refused(stale, stale_total, monkeypatch, capsys):
+        """A (35, 6) checkpoint of `stale_total` ranks is refused before any
+        scanning, by `run_search` and by the CLI (exit 4, naming both
+        totals), and left byte-identical."""
         stale_bytes = stale.read_bytes()
 
         def no_scan(*args):
             raise AssertionError("a candidate was scanned")
 
         monkeypatch.setattr(search, "_scan_chunk", no_scan)
-        with pytest.raises(CheckpointError, match=r"total=680\), not \(.*total=130\)"):
+        with pytest.raises(
+            CheckpointError, match=rf"total={stale_total}\), not \(.*total=126\)"
+        ):
             run_search(35, 6, SearchConfig(workers=1, checkpoint_path=stale))
         rc = main(
             ["search", "--n", "35", "--k", "6", "--workers", "1", "--checkpoint", str(stale)]
         )
         err = capsys.readouterr().err
-        assert rc == EXIT_CHECKPOINT and "total=680" in err and "total=130" in err
+        assert rc == EXIT_CHECKPOINT and f"total={stale_total}" in err and "total=126" in err
         assert stale.read_bytes() == stale_bytes
 
+    def test_full_space_checkpoint_refused(self, tmp_path, monkeypatch, capsys):
+        plan = jump_space(35, 6)
+        walked = search._scan_chunk(35, plan, _RangeState(RankRange(0, 680), 0), 400)
+        stale = tmp_path / "full.jsonl"
+        save_checkpoint(stale, 35, 6, True, 680, [walked])
+        self._assert_refused(stale, 680, monkeypatch, capsys)
+
+    def test_two_part_checkpoint_refused(self, tmp_path, monkeypatch, capsys):
+        # A finished checkpoint of the earlier two-part plan: the pinned plan,
+        # then one unit-free plan of three free jumps from all the non-units,
+        # C(5, 3) = 10 ranks [120, 130).
+        pinned = search._scan_plan(35, jump_space(35, 6)).parts[0]
+        two_part = search._ScanPlan(
+            (pinned, search._GroundPlan((), (5, 7, 10, 14, 15), 3))
+        )
+        assert two_part.size == 130
+        walked = search._scan_chunk(35, two_part, _RangeState(RankRange(0, 130), 0), 130)
+        assert walked.candidates
+        stale = tmp_path / "two_part.jsonl"
+        save_checkpoint(stale, 35, 6, True, 130, [walked])
+        self._assert_refused(stale, 130, monkeypatch, capsys)
+
     def test_interrupted_across_both_parts_resumes(self, tmp_path, monkeypatch):
-        # Two ranges, [0, 65) and [65, 130), in chunks of 57: the first round
-        # walks [0, 57) and [65, 122), which crosses into the unit-free plan.
+        # Two ranges, [0, 63) and [63, 126), in chunks of 60: the first round
+        # walks [0, 60) and [63, 123), which crosses into the divisor part.
         # The fourth chunk is refused after the checkpoint that holds both
         # first-round states, whichever order the pool hands them back in.
         real_scan = search._scan_chunk
@@ -681,13 +754,13 @@ class TestUnitFreeCheckpoint:
             return real_scan(*args)
 
         ck = tmp_path / "ck.jsonl"
-        config = SearchConfig(workers=2, checkpoint_every=57, checkpoint_path=ck)
+        config = SearchConfig(workers=2, checkpoint_every=60, checkpoint_path=ck)
         monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(search, "_scan_chunk", stop_at_fourth)
         with pytest.raises(_Interrupted):
             run_search(35, 6, config)
-        states = load_checkpoint(ck, 35, 6, True, 130)
-        assert [st_.cursor for st_ in states] == [57, 122]
+        states = load_checkpoint(ck, 35, 6, True, 126)
+        assert [st_.cursor for st_ in states] == [60, 123]
         assert all(st_.candidates for st_ in states)
         monkeypatch.setattr(search, "_scan_chunk", real_scan)
         resumed, merged = run_search(35, 6, config)
@@ -699,18 +772,19 @@ class TestUnitFreeCheckpoint:
         _, merged = run_search(35, 6, SearchConfig(workers=1))
         best = (merged.best_diameter, merged.best_dist_sum)
         # A genuine tie without jump 1 whose jump 2 is a unit: neither pinned
-        # nor unit-free.
+        # nor in a divisor part.
         stray = next(
             js.jumps for js in merged.candidates if 1 not in js.jumps and 2 in js.jumps
         )
         ck = tmp_path / "ck.jsonl"
-        forged = _RangeState(RankRange(0, 130), 130, *best, [stray])
-        save_checkpoint(ck, 35, 6, True, 130, [forged])
+        forged = _RangeState(RankRange(0, 126), 126, *best, [stray])
+        save_checkpoint(ck, 35, 6, True, 126, [forged])
         with pytest.raises(CheckpointError, match="not in the search space"):
             run_search(35, 6, SearchConfig(workers=1, checkpoint_path=ck))
 
     def test_unit_free_candidate_accepted(self, tmp_path):
-        # At (15, 6) the unit-free tie (3, 5, 6) lies in the second part.
+        # At (15, 6) the unit-free tie (3, 5, 6) lies in the second part, the
+        # divisor part of g = 3.
         _, merged = run_search(15, 6, SearchConfig(workers=1))
         best = (merged.best_diameter, merged.best_dist_sum)
         ck = tmp_path / "ck.jsonl"
