@@ -161,7 +161,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     # Ranks walked per second of scan time, not the requested space's size
     # (`scanned`); None when no scan time was recorded (a resumed finished
     # checkpoint).
-    ranks = count_scan_ranks(args.n, args.k, config.reduced)
+    ranks = count_scan_ranks(args.n, args.k)
     rate = ranks / merged.elapsed if merged.elapsed > 0 else None
     payload = {
         "config": {
@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full-space",
         action="store_true",
-        help="for a power of two, return every optimal jump set, not only those with jump 1",
+        help="for a power of two, return every optimal jump set, not only those with "
+        "jump 1; the scan walks the same ranks either way",
     )
     p.add_argument("--out", help="results file, one JSON record per line")
     p.add_argument("--checkpoint", help="checkpoint file; resumed when present")

@@ -9,35 +9,32 @@ smallest. Merging partial results is associative and commutative, so the
 outcome is identical for any worker count, chunking, or checkpoint/resume
 boundary.
 
-A connected jump set (gcd(n, S) = 1) either holds a unit s, and then
-multiplying the set by s^-1 mod n (Adam's isomorphism) gives an isomorphic
-set that contains jump 1 and lies in the same space (the jump n/2 of an odd
-degree maps to itself), or draws all its free jumps from the non-units. A
-unit-free set pins a jump as well: let g be the smallest gcd(s, n) over its
-free jumps, reached at s = g t. Units mod n map onto the units mod n/g, so
-some unit u has u t = 1 mod n/g, and u s = g mod n; multiplying by u keeps
-every jump's gcd with n. So when the requested plan leaves jump 1 free, the
-scan walks a *scan plan* whose parts share one rank space: first the
-*pinned* plan, the requested plan with jump 1 pinned and r - 1 free jumps
-from [2, hi], then one *divisor part* for each value g of gcd(s, n) over
-the non-units s in [lo, hi], in ascending order of g: the fixed jumps and g,
-with r - 1 free jumps from the non-units s != g with gcd(s, n) >= g. The
-parts are disjoint (g is the smallest gcd of every set of its part), and
-every connected unit-free set has a unit multiple in exactly one. A divisor
-part is dropped when gcd(n, fixed, g, its ground) > 1, since then none of
-its sets is connected, or when its ground holds fewer than r - 1 jumps;
-every part is dropped for a prime power p^a, whose non-units are all
-divisible by p. For (255, 6), 255 = 3 * 5 * 17, the scan plan holds 7,875
-pinned sets and divisor parts of C(62, 2) = 1,891 (g = 3), C(30, 2) = 435
-(g = 5) and C(14, 2) = 91 (g = 15) sets, 10,292 candidates instead of
-333,375; the parts of g = 17, 51 and 85 hold only multiples of 17 and are
-dropped. A requested plan that already pins jump 1 (the reduced
-power-of-two plan) is the scan plan itself. The scan plan's best is the
-space's best, and the space's ties are the unit multiples of the scan
-plan's ties that lie in the requested plan; `_unit_closure` recovers them
-after the merge. The merged `scanned` counts every candidate of the
-requested space: those measured, those in skipped groups, and those that
-are unit multiples of a scanned one.
+Every connected jump set (gcd(n, S) = 1) has a unit multiple that pins one
+of its jumps. Let g be the smallest gcd(s, n) over its free jumps, reached
+at s = g t; g = 1 when the set holds a unit. Units mod n map onto the units
+mod n/g, so some unit u has u t = 1 mod n/g, and u s = g mod n. Multiplying
+by u (Adam's isomorphism) gives an isomorphic set in the same space that
+holds g, and keeps every jump's gcd with n (the jump n/2 of an odd degree
+maps to itself). So the scan walks a *scan plan* of *divisor parts* that
+share one rank space, one for each value g of gcd(s, n) over s in [1, hi],
+in ascending order of g, g = 1 first: the fixed jumps and g, with r - 1
+free jumps from the s != g with gcd(s, n) >= g, where r counts jump 1
+among the free jumps. The parts are disjoint (g is the smallest gcd of
+every set of its part), and every connected set has a unit multiple in
+exactly one. A part is dropped when gcd(n, fixed, g, its ground) > 1, since
+then none of its sets is connected, or when its ground holds fewer than
+r - 1 jumps; for a prime power p^a only the part of g = 1 is left, since
+its non-units are all divisible by p. The reduced power-of-two plan, which
+pins jump 1 already, has the same scan plan as the full space. For
+(255, 6), 255 = 3 * 5 * 17, the scan plan holds parts of C(126, 2) = 7,875
+(g = 1), C(62, 2) = 1,891 (g = 3), C(30, 2) = 435 (g = 5) and C(14, 2) =
+91 (g = 15) sets, 10,292 candidates instead of 333,375; the parts of
+g = 17, 51 and 85 hold only multiples of 17 and are dropped. The scan
+plan's best is the space's best, and the space's ties are the unit
+multiples of the scan plan's ties that lie in the requested plan;
+`_unit_closure` recovers them after the merge. The merged `scanned` counts
+every candidate of the requested space: those measured, those in skipped
+groups, and those that are unit multiples of a scanned one.
 
 Survivors are grouped into unit-multiplication classes, and each class is
 measured once by `metrics.compute_metrics` on its canonical representative:
@@ -58,11 +55,11 @@ group whose floor is above the running best, and abandons a candidate
 before the level that proves it worse. Disconnected candidates never
 reach it: in a co-lex group whose tail shares a factor g = gcd(n, *tail) >
 1 with n, the set (s, *tail) is connected exactly when gcd(g, s) = 1, so
-the other free jumps s are dropped first (only unit-free tails can have
-g > 1, since a pinned tail holds jump 1). Both tests are strict, so every
-tie is measured in full. Only the amount of pruning depends on the running
-best, never which jump sets are kept, which is why the outcome stays
-independent of chunking and order. On one core of a 2-vCPU Xeon host
+the other free jumps s are dropped first (only tails in the parts of g > 1
+can share one, as those of g = 1 hold jump 1). Both tests are strict, so
+every tie is measured in full. Only the amount of pruning depends on the
+running best, never which jump sets are kept, which is why the outcome
+stays independent of chunking and order. On one core of a 2-vCPU Xeon host
 (nproc 2, Python 3.11) a full-space `scan_range` runs at about 455-680k
 graphs/s at (255, 6), 345-540k at (257, 6) and 600-760k at (127, 8); at
 (1024, 10), with (5, 4166) as the running best, about 690-770k from rank
@@ -74,8 +71,7 @@ the scan plan; a resumed run continues each range from its cursor. A
 loaded checkpoint is not trusted: every field must have its JSON type
 (integral ranks, a boolean `reduced`), its total must be the scan plan's
 size, and every carried candidate must lie in one of the scan plan's parts
-(a set of the pinned plan contains jump 1; a set of a divisor part holds
-its g and draws its other free jumps from that part's ground) and
+(hold its g and draw its other free jumps from that part's ground) and
 re-measure to its range's best.
 """
 
@@ -177,11 +173,11 @@ def count_space(n: int, k: int, reduced: bool = True) -> int:
     return plan.size
 
 
-def count_scan_ranks(n: int, k: int, reduced: bool = True) -> int:
+def count_scan_ranks(n: int, k: int) -> int:
     """Ranks the scan walks for the (n, k) space: the size of its scan plan
-    (`_scan_plan`), the pinned sets and then the divisor parts, which is
-    also a checkpoint's `total`."""
-    return _scan_plan(n, jump_space(n, k, reduced)).size
+    (`_scan_plan`), one divisor part per g, which is also a checkpoint's
+    `total`. The same for the reduced and the full space."""
+    return _scan_plan(n, jump_space(n, k)).size
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,7 @@ class _ScanPlan:
     """Plans that share one rank space: the ranks of `parts[0]` come first,
     then those of `parts[1]`, and so on."""
 
-    parts: tuple[JumpSpacePlan | _GroundPlan, ...]
+    parts: tuple[_GroundPlan, ...]
 
     @property
     def size(self) -> int:
@@ -212,22 +208,20 @@ class _ScanPlan:
 
 
 def _scan_plan(n: int, plan: JumpSpacePlan) -> _ScanPlan:
-    """The plan the scan walks for the space `plan` (see the module
-    docstring). When `plan` leaves jump 1 free: `plan` with jump 1 pinned,
-    then one divisor part for each g = gcd(s, n) over the non-units s, in
-    ascending order of g: jump g pinned beside the fixed jumps, and r - 1
-    free jumps from the non-units s != g with gcd(s, n) >= g. A part is
-    dropped when gcd(n, fixed, g, its ground) > 1 or its ground holds fewer
-    than r - 1 jumps. Otherwise `plan` itself."""
-    if plan.lo != 1:
-        return _ScanPlan((plan,))
-    pinned = JumpSpacePlan(tuple(sorted((*plan.fixed, 1))), 2, plan.hi, plan.r - 1)
-    parts: list[JumpSpacePlan | _GroundPlan] = [pinned]
-    gcds = {s: d for s in plan.ground if (d := math.gcd(s, n)) > 1}
+    """The plan the scan walks for the space `plan`, the same for the reduced
+    and the full space (see the module docstring): with jump 1 back among
+    the r free jumps from [1, hi], one part per value g of gcd(s, n) over
+    those s, ascending: g pinned beside the other fixed jumps, and r - 1
+    free jumps from the s != g with gcd(s, n) >= g; dropped when gcd(n,
+    fixed, g, its ground) > 1 or its ground holds fewer than r - 1 jumps."""
+    fixed = tuple(s for s in plan.fixed if s != 1)
+    r = plan.r + len(plan.fixed) - len(fixed)
+    gcds = {s: math.gcd(s, n) for s in range(1, plan.hi + 1)}
+    parts = []
     for g in sorted(set(gcds.values())):
         ground = tuple(s for s, d in gcds.items() if d >= g and s != g)
-        if len(ground) >= plan.r - 1 and math.gcd(n, *plan.fixed, g, *ground) == 1:
-            parts.append(_GroundPlan(tuple(sorted((*plan.fixed, g))), ground, plan.r - 1))
+        if len(ground) >= r - 1 and math.gcd(n, *fixed, g, *ground) == 1:
+            parts.append(_GroundPlan(tuple(sorted((*fixed, g))), ground, r - 1))
     return _ScanPlan(tuple(parts))
 
 
@@ -447,7 +441,9 @@ def save_checkpoint(
     path: str | Path, n: int, k: int, reduced: bool, total: int,
     states: list[_RangeState],
 ) -> None:
-    """Atomically write the per-range cursors and running bests."""
+    """Atomically write the per-range cursors and running bests. The temporary
+    file is fsynced before it replaces `path`, so a power loss cannot leave
+    an empty checkpoint behind."""
     lines = []
     for st in states:
         lines.append(
@@ -468,7 +464,10 @@ def save_checkpoint(
             )
         )
     tmp = Path(str(path) + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
+    with open(tmp, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -530,9 +529,8 @@ def load_checkpoint(
                     f"checkpoint is for (n={rec['n']}, k={rec['k']}, "
                     f"reduced={rec['reduced']}, total={rec['total']}), "
                     f"not (n={n}, k={k}, reduced={reduced}, total={total}); "
-                    "totals count the ranks of the scan plan: the sets with jump 1 "
-                    "pinned, then the unit-free sets in one part per divisor g of n, "
-                    "with jump g pinned"
+                    "totals count the ranks of the scan plan: one part per value g "
+                    "of gcd(s, n), jump g pinned, g = 1 first"
                 )
             rng = RankRange(rec["range"]["start"], rec["range"]["end"])
             cursor = rec["cursor_rank"]

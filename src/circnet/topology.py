@@ -167,8 +167,8 @@ def jump_space(n: int, k: int, reduced: bool = True) -> JumpSpacePlan:
     pins jump 1 as well and draws the other free jumps from [2, (n-1)//2]:
     unit multiplication maps every connected set to an isomorphic one that
     contains 1 (n/2 maps to itself). For other n the flag is ignored and the
-    free jumps range over [1, (n-1)//2]. How `search.run_search` walks a
-    space is described in the `search` module docstring.
+    free jumps range over [1, (n-1)//2]. The scan walks the same ranks for
+    either value of `reduced` (see the `search` module docstring).
     """
     if k < 3 or k >= n:
         raise InfeasibleDegreeError(f"need 3 <= k < n, got (n={n}, k={k})")

@@ -322,6 +322,25 @@ class TestSearchCommand:
         assert f"scan rate: {2 * ranks} graphs/s/core" in captured.err
         assert payload["scanned"] == search.count_space(n, k)
 
+    def test_full_space_scan_rate_counts_the_same_ranks(self, monkeypatch, capsys):
+        # The reduced and the full (32, 4) space share one scan plan of 14
+        # ranks; only `scanned`, the requested space's size, differs.
+        real = cli.run_search
+
+        def half_second(*args):
+            records, merged = real(*args)
+            return records, dataclasses.replace(merged, elapsed=0.5)
+
+        monkeypatch.setattr(cli, "run_search", half_second)
+        for extra, scanned in (([], 14), (["--full-space"], 105)):
+            args = ["search", "--n", "32", "--k", "4", "--workers", "1", "--restarts", "4"]
+            assert main(args + extra) == EXIT_OK
+            captured = capsys.readouterr()
+            payload = json.loads(captured.out)
+            assert payload["timing"]["scan_rate_per_core"] == 2 * 14
+            assert "scan rate: 28 graphs/s/core" in captured.err
+            assert payload["scanned"] == scanned == search.count_space(32, 4, not extra)
+
     def test_exact_limit_above_cap_falls_back_to_heuristic(self, capsys):
         rc = main(
             ["search", "--n", "64", "--k", "4", "--workers", "1",

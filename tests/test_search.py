@@ -566,6 +566,61 @@ class TestDivisorParts:
         assert spaces
 
 
+class TestOneScanRule:
+    """Every scan plan is one divisor part per value g of gcd(s, n), g = 1
+    first, for primes, prime powers, powers of two and multi-prime n alike,
+    and the reduced and the full space give the same plan."""
+
+    @pytest.mark.parametrize("n", range(4, 67))
+    def test_each_connected_set_covered_once(self, n):
+        units = [u for u in range(1, n // 2 + 1) if math.gcd(u, n) == 1]
+        spaces = 0
+        for k in range(3, n):
+            if k % 2 == 1 and n % 2 == 1:
+                continue
+            full = jump_space(n, k, False)
+            if full.size > 1000:
+                continue
+            spaces += 1
+            scan = search._scan_plan(n, full)
+            assert search._scan_plan(n, jump_space(n, k, True)) == scan
+            assert 1 in scan.parts[0].fixed
+            members = [
+                {tuple(sorted((*part.fixed, *free)))
+                 for free in itertools.combinations(part.ground, part.r)}
+                for part in scan.parts
+            ]
+            # Every set of every part lies in the requested plan.
+            for reduced in (False, True):
+                plan = jump_space(n, k, reduced)
+                for sets in members:
+                    assert all(search._in_plan(plan, c) for c in sets), (k, reduced)
+            # Every connected set has a unit multiple in exactly one part.
+            for free in itertools.combinations(full.ground, full.r):
+                c = (*full.fixed, *free)
+                if math.gcd(n, *c) > 1:
+                    continue
+                images = {unit_image(n, c, u) for u in units}
+                assert sum(bool(images & sets) for sets in members) == 1, (k, c)
+        assert spaces
+
+    # (fixed, ground, r) of each part, in rank order. A checkpoint's cursors
+    # index these ranks, so a reordered part or ground would point a written
+    # checkpoint at other sets while its total still matched.
+    PARTS = {
+        (35, 6): [((1,), tuple(range(2, 18)), 2), ((5,), (7, 10, 14, 15), 2)],
+        (18, 5): [((1, 9), tuple(range(2, 9)), 1), ((2, 9), (3, 4, 6, 8), 1)],
+        (15, 6): [((1,), tuple(range(2, 8)), 2), ((3,), (5, 6), 2)],
+        (32, 5): [((1, 16), tuple(range(2, 16)), 1)],
+    }
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("n, k", sorted(PARTS))
+    def test_rank_order_of_parts(self, n, k, reduced):
+        parts = search._scan_plan(n, jump_space(n, k, reduced)).parts
+        assert [(p.fixed, tuple(p.ground), p.r) for p in parts] == self.PARTS[(n, k)]
+
+
 class TestDisconnectedSetsSkipped:
     """The scan drops a free jump s from a co-lex group when (s, *tail) shares
     a factor with n, so the kernel measures connected sets only, and the
@@ -823,6 +878,29 @@ class TestCheckpointVerification:
         )
         resumed = run_search(32, 4, SearchConfig(workers=1, checkpoint_path=ck))[0]
         assert resumed == run_search(32, 4, SearchConfig(workers=1))[0]
+
+
+class TestCheckpointDurability:
+    def test_temp_file_synced_before_it_replaces_the_checkpoint(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            # the written lines must be flushed before the sync
+            calls.append(("fsync", os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", Path(src).name, Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        ck = _forged(tmp_path, 4, 84, [(1, 7)])
+        assert calls == [
+            ("fsync", ck.stat().st_size), ("replace", "ck.jsonl.tmp", "ck.jsonl"),
+        ]
+        assert ck.stat().st_size > 0 and not (tmp_path / "ck.jsonl.tmp").exists()
 
 
 class TestConfigValidation:
