@@ -25,15 +25,15 @@ enumeration), and the rest are scored by popcounts of crossing-edge
 bitmasks, integer numpy with no matrix product.
 Larger graphs get a restarted multilevel Kernighan-Lin search that only ever
 holds balanced states; or an externally supplied partition whose cut is
-recomputed, never trusted. Each KL step takes the pair `_best_swap` defines:
-the best gain over the top-D windows of both sides, widened until nothing
-outside can beat it. Gain buckets in the manner of Fiduccia and Mattheyses
-find that pair at O(degree) cost per swap: each side's unlocked vertices
-stay sorted by (-D, index) and a swap moves only its endpoints' neighbours.
-Window membership under D ties across the window boundary follows numpy's
-`argpartition`, as in `_window`; the buckets answer directly where a gain
-bound proves the tie cannot matter and call `_window` where it might, on
-numpy mirrors of D and of the sides that every swap writes through.
+recomputed, never trusted. Each KL step takes the best gain over the top
+windows of both sides, widened until nothing outside can beat it. Gain
+buckets in the manner of Fiduccia and Mattheyses find that pair at
+O(degree) cost per swap: each side's unlocked vertices stay sorted by
+(-D, index), a window is a prefix of that order, so D ties go to the lower
+index, and a swap moves only its endpoints' neighbours. Nothing in a
+trajectory depends on the CPU. A circulant's first restarts start from its
+quotient-arc sides of smallest cut (`_quotient_seeds`), a product's from
+its factors' sides lifted (`_factor_lift_seeds`).
 
 Both solvers stop at `bisection_lower_bound`, a floor no balanced cut can
 go below (the larger of a spectral and an all-to-all congestion bound): a
@@ -518,8 +518,7 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
     = popcount(XL[L] & XH[H]), integer numpy with no matrix product. The
     search stops as soon as the best cut meets the lower bound. Only pairs
     whose bound reaches the best are skipped, so the result equals full
-    enumeration; the starting cut, and so numpy's tie order inside
-    Kernighan-Lin, changes only the time. Odd n raises
+    enumeration; the starting cut changes only the time. Odd n raises
     BisectionInfeasibleError, and even n that `bisection_method` does not
     call "exact" raises ExactLimitError.
     """
@@ -628,49 +627,6 @@ def _work_graph(t: Topology) -> _WorkGraph:
 _NOTHING_LEFT = -(1 << 30)
 
 
-def _window(avail: np.ndarray, D: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """The k vertices of `avail` with the largest D, ordered by (-D, index),
-    and the largest D left outside them (a sentinel when nothing is).
-
-    When D ties across the boundary, numpy's `argpartition` decides which
-    of the tied vertices are inside, not their index."""
-    if k == len(avail):
-        top, rest = avail, _NOTHING_LEFT
-    else:
-        neg = -D[avail]
-        part = neg.argpartition(k - 1)
-        top, rest = avail[part[:k]], -int(neg[part[k:]].min())
-    return top[np.lexsort((top, -D[top]))], rest
-
-
-def _best_swap(
-    g: _WorkGraph, D: np.ndarray, avail_a: np.ndarray, avail_b: np.ndarray
-) -> tuple[int, int, int] | None:
-    """Highest-gain pair u in avail_a, v in avail_b; gain = D[u] + D[v] - 2*w(u, v).
-
-    This is the definition the refinement follows; `_GainBuckets.best`
-    returns the same pair and gain at O(degree) cost per swap.
-
-    Candidates come from the top of each side by D (`_window`, so boundary
-    ties follow `argpartition`); the window widens until the best found
-    provably dominates everything outside it (edge weights only lower the
-    gain). Ties break on the first pair in row-major order over the sorted
-    windows, deterministically.
-    """
-    if len(avail_a) == 0 or len(avail_b) == 0:
-        return None
-    t_width = 8
-    while True:
-        top_a, rest_a = _window(avail_a, D, min(t_width, len(avail_a)))
-        top_b, rest_b = _window(avail_b, D, min(t_width, len(avail_b)))
-        gains = D[top_a][:, None] + D[top_b] - 2 * g.weights[top_a[:, None], top_b]
-        i, j = divmod(int(gains.argmax()), len(top_b))
-        gain = int(gains[i, j])
-        if gain >= rest_a + int(D[top_b[0]]) and gain >= int(D[top_a[0]]) + rest_b:
-            return int(top_a[i]), int(top_b[j]), gain
-        t_width *= 2
-
-
 def _scan(
     D: list[int], adj: list[dict[int, int]], rows: list[int], cols: list[int]
 ) -> tuple[int, int, int]:
@@ -697,19 +653,12 @@ def _scan(
 
 class _GainBuckets:
     """The unlocked vertices of each side in one KL pass, kept sorted by
-    (-D, index), so that `best` answers `_best_swap` and `swap` costs
+    (-D, index), so that `best` picks each step's pair and `swap` costs
     O(degree) sorted-list moves.
 
     Each side's list is its D buckets concatenated: key -D * n + v, removed
     and inserted by bisection. The window of width t is the list's first t
-    entries. That is `_window`'s set unless D ties across the boundary
-    (rest == the t-th D), where `argpartition` may keep other tied members.
-    A pair touching a tied member of side A gains at most rest_A + max D of
-    B (and symmetrically), so when the best gain found beats that bound on
-    every tied side, both windows give the same pair and the same widening
-    decision. Otherwise the tied sides take `_window`'s windows, over numpy
-    mirrors of D and of each vertex's side that `swap` writes through, and
-    the scan is repeated.
+    entries, so a D tie across its boundary goes to the lower index.
     """
 
     def __init__(
@@ -718,15 +667,20 @@ class _GainBuckets:
         self.n = n = g.n
         self.adj = g.adj
         self.D = D.tolist()
-        self.D_np = D.astype(np.int64)
         # side of each unlocked vertex, -1 once locked
-        self.where_np = np.full(n, -1, dtype=np.int8)
-        self.where_np[avail_a], self.where_np[avail_b] = 0, 1
-        self.where = self.where_np.tolist()
+        where = np.full(n, -1, dtype=np.int8)
+        where[avail_a], where[avail_b] = 0, 1
+        self.where = where.tolist()
         self.order = [np.sort(-D[a] * n + a).tolist() for a in (avail_a, avail_b)]
 
     def best(self) -> tuple[int, int, int] | None:
-        """`_best_swap`'s (u, v, gain) for the current state."""
+        """The highest-gain pair (u, v, gain), u unlocked on side A and v on
+        side B, gain = D[u] + D[v] - 2 w(u, v), or None once a side is empty.
+
+        Windows of width 8, 16, ... are scanned until the best gain inside
+        beats every pair with a member outside (edge weights only lower a
+        gain); the first maximum in row-major order over the sorted windows
+        is taken."""
         (order_a, order_b), n = self.order, self.n
         len_a, len_b = len(order_a), len(order_b)
         if not len_a or not len_b:
@@ -741,15 +695,7 @@ class _GainBuckets:
             rows = [key % n for key in order_a[:ka]]
             cols = [key % n for key in order_b[:kb]]
             u, v, gain = _scan(D, adj, rows, cols)
-            bound_a, bound_b = rest_a + top_b, top_a + rest_b
-            tied_a, tied_b = rest_a == D[rows[-1]], rest_b == D[cols[-1]]
-            if (tied_a and gain <= bound_a) or (tied_b and gain <= bound_b):
-                if tied_a:
-                    rows = _window(np.flatnonzero(self.where_np == 0), self.D_np, ka)[0].tolist()
-                if tied_b:
-                    cols = _window(np.flatnonzero(self.where_np == 1), self.D_np, kb)[0].tolist()
-                u, v, gain = _scan(D, adj, rows, cols)
-            if gain >= bound_a and gain >= bound_b:
+            if gain >= rest_a + top_b and gain >= top_a + rest_b:
                 return u, v, gain
             t_width *= 2
 
@@ -758,11 +704,10 @@ class _GainBuckets:
         neighbour's D changes by 2 w per moved endpoint, up when the endpoint
         leaves the neighbour's side and down when it joins it."""
         n, D, where, order = self.n, self.D, self.where, self.order
-        D_np, where_np = self.D_np, self.where_np
         for x, s in ((u, 0), (v, 1)):
             keys = order[s]
             del keys[bisect_left(keys, -D[x] * n + x)]
-            where[x] = where_np[x] = -1
+            where[x] = -1
         for x, up in ((u, 0), (v, 1)):
             for y, w in self.adj[x].items():
                 s = where[y]
@@ -771,7 +716,7 @@ class _GainBuckets:
                 keys = order[s]
                 d = D[y]
                 del keys[bisect_left(keys, -d * n + y)]
-                D[y] = D_np[y] = d = d + 2 * w if s == up else d - 2 * w
+                D[y] = d = d + 2 * w if s == up else d - 2 * w
                 insort(keys, -d * n + y)
 
 
@@ -781,8 +726,8 @@ def _kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
     Each pass tentatively swaps vertex pairs (allowing negative interim
     gains), then keeps the prefix with the best cumulative gain. A pass is
     abandoned once the prefix maximum has stalled for max(48, n/16) steps;
-    balance is preserved at every step. Each step takes `_best_swap`'s pair,
-    found by `_GainBuckets` at O(degree) cost per swap.
+    balance is preserved at every step. Each step takes the pair
+    `_GainBuckets.best` picks, at O(degree) cost per swap.
     """
     n = g.n
     window = max(48, n // 16)
@@ -909,6 +854,34 @@ def _factor_lift_seeds(
     return seeds
 
 
+def _quotient_seeds(t: Topology) -> list[np.ndarray]:
+    """Balanced starts for a circulant: its 8 quotient-arc sides of smallest
+    cut, ranked by (cut, c, u).
+
+    Q(c, u), for an even divisor c of n and a unit u <= c/2 mod c, puts v
+    on side 1 when u v mod c >= c/2: it lifts an arc bisection of the
+    quotient circulant on Z_c (an equitable partition), so jump s with
+    r = u s mod c crosses it on (n/c) min(r, c - r) edges, twice that unless
+    2s = n. Multiplying by a unit mod n maps the family onto itself, so
+    every member of a unit-multiplication class gets equally good starts."""
+    if t.jumps is None:
+        return []
+    n, jumps = t.n, t.jumps.jumps
+    ranked = []
+    for c in range(2, n + 1, 2):
+        if n % c:
+            continue
+        for u in range(1, c // 2 + 1):
+            if math.gcd(u, c) == 1:
+                cut = sum(
+                    n // c * min(u * s % c, c - u * s % c) * (1 if 2 * s == n else 2)
+                    for s in jumps
+                )
+                ranked.append((cut, c, u))
+    v = np.arange(n)
+    return [(u * v % c >= c // 2).astype(np.int8) for _, c, u in sorted(ranked)[:8]]
+
+
 def available_cores() -> int:
     """Cores this process may run on: its CPU affinity where the platform
     reports one, else the machine's CPU count."""
@@ -927,9 +900,10 @@ def _restart(
     """Restart i of `_best_balanced_side`: KL from `seed_side` when one is
     given, else a `_multilevel_cut` V-cycle (without contraction for odd i),
     then `_ILS_ROUNDS` kick-and-refine rounds on the best side so far, which
-    stop once it meets `floor`. Everything random comes from seed + i."""
+    stop once it meets `floor`. Round r swaps kicks[r % 3] random pairs
+    across. Everything random comes from seed + i."""
     rng = random.Random(seed + i)
-    kicks = (8, max(8, g.n // 32), max(12, g.n // 16))
+    kicks = (16, max(16, g.n // 16), max(24, g.n // 8))
     if seed_side is not None:
         side = seed_side.copy()
         cut = _kl_refine(g, side)
@@ -1001,8 +975,9 @@ def _best_balanced_side(
 ) -> tuple[int, np.ndarray]:
     """Minimum balanced cut found and a side assignment achieving it.
 
-    Restart i (`_restart`) starts from a lifted factor side while those last
-    and from a V-cycle otherwise. Perturbation rounds stop once the
+    Restart i (`_restart`) starts from a seed side while those last (a
+    product's lifted factor sides, a circulant's `_quotient_seeds`) and from
+    a V-cycle otherwise. Perturbation rounds stop once the
     restart's cut meets a floor, and restarts stop once the best cut does.
     The floor is the width itself, from `bisection_exact`, when
     `bisection_method` calls n "exact" (as for the 32-vertex factors of
@@ -1020,7 +995,8 @@ def _best_balanced_side(
     if n == 2:
         return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
     floor = bisection_exact(t) if bisection_method(n) == "exact" else bisection_lower_bound(t)
-    job = (_work_graph(t), _factor_lift_seeds(t, restarts, seed, workers), seed, floor)
+    seeds = _factor_lift_seeds(t, restarts, seed, workers) or _quotient_seeds(t)
+    job = (_work_graph(t), seeds, seed, floor)
     runs = [_job_restart(job, 0)]
     procs = min(available_cores() if workers is None else workers, restarts - 1)
     if runs[0][0] > floor and n >= _POOL_MIN_N and procs > 1:
@@ -1040,10 +1016,12 @@ def bisection_heuristic(
 
     Restarts alternate between multilevel V-cycles (randomized pair
     contraction, coarse bisection, refine on the way back up) and flat
-    refinement of random balanced starts; product graphs additionally seed a
-    few restarts with lifted factor bisections. Every local minimum is then
+    refinement of random balanced starts; the first restarts of a product
+    start from lifted factor bisections instead, and those of a circulant
+    from its quotient-arc sides of smallest cut. Every local minimum is then
     perturbed (a seeded batch of cross-pair swaps) and re-refined a few
-    rounds. Deterministic for a given seed: restart i draws everything from
+    rounds. Deterministic for a given seed on any CPU (KL gives D ties to
+    the lower index): restart i draws everything from
     seed + i and the result is the minimum over restarts by (cut, index),
     independent of execution order. Always an upper bound on the true
     bisection width. Rounds and restarts stop once a cut meets

@@ -5,11 +5,13 @@ the faster code against.
 The pattern builders make one tuple per flow, random pairs by one
 `randrange` call per endpoint; the table builders fill one Python list per
 source vertex; `evaluate` routes one flow at a time along its path, adding
-each hop's demand to a dict; `kl_refine` calls the dense `_best_swap`
-on every step and updates D by a whole weight-matrix row per moved vertex;
-`contract` picks each mate by scanning a masked dense weight row;
+each hop's demand to a dict; `_best_swap` sorts each side's whole
+unlocked set by (-D, index) for every window it tries, and `kl_refine`
+calls it on every step and updates D by a whole weight-matrix row per moved
+vertex; `contract` picks each mate by scanning a masked dense weight row;
 `best_balanced_side` runs every restart and every perturbation round, with
-no lower bound to stop at;
+no lower bound to stop at, and ranks a circulant's quotient-arc seed sides
+by cuts counted edge by edge;
 `cartesian_product`, `torus` and `hypercube` build products as a binary fold
 with (u, v) -> u * b.n + v arithmetic of their own;
 `circulant_distance_profile` expands each BFS frontier by two shifts per
@@ -17,6 +19,7 @@ jump, with no ball cache; and `scan_chunk` measures every candidate of a
 rank range in co-lex order, with no group floor.
 """
 
+import math
 import random
 import time
 from dataclasses import replace
@@ -28,7 +31,7 @@ import numpy as np
 from circnet.combinatorics import successor_inplace, unrank_elements
 from circnet.metrics import (
     _ILS_ROUNDS,
-    _best_swap,
+    _NOTHING_LEFT,
     _kl_refine,
     _multilevel_cut,
     _work_graph,
@@ -216,6 +219,39 @@ def evaluate(t: Topology, rows, pattern: TrafficPattern) -> LoadReport:
     )
 
 
+def _window(avail: np.ndarray, D: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """The first k vertices of `avail` by (-D, index), in that order, and the
+    largest D left outside them (a sentinel when nothing is)."""
+    ordered = avail[np.lexsort((avail, -D[avail]))]
+    rest = int(D[ordered[k]]) if k < len(ordered) else _NOTHING_LEFT
+    return ordered[:k], rest
+
+
+def _best_swap(
+    g: _WorkGraph, D: np.ndarray, avail_a: np.ndarray, avail_b: np.ndarray
+) -> tuple[int, int, int] | None:
+    """Highest-gain pair u in avail_a, v in avail_b; gain = D[u] + D[v] - 2*w(u, v).
+
+    This is the definition `_GainBuckets.best` follows. Candidates come from
+    the top of each side by (-D, index) (`_window`); the window widens until
+    the best found provably dominates everything outside it (edge weights
+    only lower the gain). Ties break on the first pair in row-major order
+    over the sorted windows.
+    """
+    if len(avail_a) == 0 or len(avail_b) == 0:
+        return None
+    t_width = 8
+    while True:
+        top_a, rest_a = _window(avail_a, D, min(t_width, len(avail_a)))
+        top_b, rest_b = _window(avail_b, D, min(t_width, len(avail_b)))
+        gains = D[top_a][:, None] + D[top_b] - 2 * g.weights[top_a[:, None], top_b]
+        i, j = divmod(int(gains.argmax()), len(top_b))
+        gain = int(gains[i, j])
+        if gain >= rest_a + int(D[top_b[0]]) and gain >= int(D[top_a[0]]) + rest_b:
+            return int(top_a[i]), int(top_b[j]), gain
+        t_width *= 2
+
+
 def kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
     """Kernighan-Lin passes until no pass improves; side is refined in place.
 
@@ -362,14 +398,36 @@ def hypercube(d: int) -> Topology:
     )
 
 
+def quotient_seeds(t: Topology) -> list[np.ndarray]:
+    """The 8 sides {v : u v mod c >= c/2} (c an even divisor of n, u <= c/2 a
+    unit mod c) of a circulant with the smallest cuts, ranked by (cut, c, u),
+    each cut counted over the edge list."""
+    if t.jumps is None:
+        return []
+    n = t.n
+    edges = np.array(t.edges())
+    ranked = []
+    for c in range(2, n + 1, 2):
+        if n % c:
+            continue
+        for u in range(1, c // 2 + 1):
+            if math.gcd(u, c) == 1:
+                side = np.array([int(u * v % c >= c // 2) for v in range(n)], dtype=np.int8)
+                cut = int(np.count_nonzero(side[edges[:, 0]] != side[edges[:, 1]]))
+                ranked.append((cut, c, u, side))
+    ranked.sort(key=lambda r: r[:3])
+    return [side for *_, side in ranked[:8]]
+
+
 def best_balanced_side(t: Topology, restarts: int, seed: int) -> tuple[int, np.ndarray]:
     """Every restart and every perturbation round of the iterated KL search,
-    factor-lifted seeds included (themselves from this full loop)."""
+    factor-lifted seeds (themselves from this full loop) or quotient-arc
+    seeds included."""
     n = t.n
     if n == 2:
         return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
     g = _work_graph(t)
-    kicks = (8, max(8, n // 32), max(12, n // 16))
+    kicks = (16, max(16, n // 16), max(24, n // 8))
     seeds = []
     if t.factors is not None and len(t.factors) >= 2:
         digits = np.array(mixed_radix([f.n for f in t.factors])[1])
@@ -377,6 +435,8 @@ def best_balanced_side(t: Topology, restarts: int, seed: int) -> tuple[int, np.n
             if f.n % 2 == 0:
                 _, fside = best_balanced_side(f, restarts, seed + 7919 * (p + 1))
                 seeds.append(fside[digits[:, p]].astype(np.int8))
+    else:
+        seeds = quotient_seeds(t)
     best = None
     for i in range(restarts):
         rng = random.Random(seed + i)

@@ -123,6 +123,25 @@ def test_property_table_rows(n):
                 assert bw <= row.bisection, (row, bw)
 
 
+# the published circulant widths at n >= 128 are reached at every seed, not
+# only at the seed the property table uses
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "row",
+    [
+        row
+        for n, rows in sorted(PROPERTY_TABLE.items())
+        if n >= 128
+        for row in rows
+        if row.label in ("oc-low", "oc-high")
+    ],
+    ids=lambda row: row.spec,
+)
+def test_circulant_widths_at_several_seeds(row, seed):
+    assert bisection_heuristic(parse_spec(row.spec), 64, seed) == row.bisection
+
+
 def _printed_tables():
     tables = []
     for n in sorted(PROPERTY_TABLE):

@@ -39,11 +39,9 @@ from circnet.metrics import (
     _GainBuckets,
     _WorkGraph,
     _best_balanced_side,
-    _best_swap,
     _contract,
     _half_tables,
     _kl_refine,
-    _window,
 )
 from circnet.topology import (
     JumpSet,
@@ -56,6 +54,7 @@ from circnet.topology import (
     ring,
     torus,
 )
+from oracles import _best_swap, _window
 from reference_data import PROPERTY_TABLE
 
 
@@ -720,7 +719,7 @@ def _work_state(n, wseed, d, status):
 class TestGainBuckets:
     @given(st_work_graph)
     @settings(max_examples=150)
-    # draws where an index-order window picks another pair than _best_swap
+    # draws where ties across a window boundary decide the pair
     @example((
         26, 7272,
         [0, 1, 2, 3, -2, -2, 1, 2, 1, 2, -3, 2, 2, 1, 2, 0, -3, 2, -1, 3, 2, 3, 3, -1, -3, 0],
@@ -751,24 +750,21 @@ class TestGainBuckets:
             D = D + 2 * sign * (g.weights[u] - g.weights[v])
             avail_a, avail_b = avail_a[avail_a != u], avail_b[avail_b != v]
 
-    def test_boundary_tie_follows_argpartition(self):
+    def test_boundary_tie_goes_to_the_lower_index(self):
         # Side A is vertices 0-8 with D = 0, 0, 0, 0, 0, 0, 1, 1, 1; the
-        # width-8 window holds all but one of the six D = 0 vertices. By
-        # index that leaves out 5, but argpartition leaves out 4. Every A
-        # vertex except 4 and 5 is joined to B's only vertex 9, so the pair
-        # is (5, 9) where an index-order window would give (4, 9).
+        # width-8 window holds all but one of the six D = 0 vertices, and
+        # the one left out is the highest index, 5. Every A vertex except 4
+        # and 5 is joined to B's only vertex 9, so the pair is (4, 9).
         D = np.array([0] * 6 + [1] * 3 + [0], dtype=np.int64)
         weights = np.zeros((10, 10), dtype=np.int32)
         weights[[0, 1, 2, 3, 6, 7, 8], 9] = weights[9, [0, 1, 2, 3, 6, 7, 8]] = 1
         g = _WorkGraph(weights)
         avail_a, avail_b = np.arange(9), np.array([9])
-        by_index = avail_a[np.lexsort((avail_a, -D[avail_a]))][:8]
         top, rest = _window(avail_a, D, 8)
-        assert rest == D[top[-1]] == 0
-        assert 4 in by_index and 5 not in by_index
-        assert 5 in top and 4 not in top
-        assert _best_swap(g, D, avail_a, avail_b) == (5, 9, 0)
-        assert _GainBuckets(g, D, avail_a, avail_b).best() == (5, 9, 0)
+        assert top.tolist() == [6, 7, 8, 0, 1, 2, 3, 4]
+        assert rest == D[5] == 0
+        assert _best_swap(g, D, avail_a, avail_b) == (4, 9, 0)
+        assert _GainBuckets(g, D, avail_a, avail_b).best() == (4, 9, 0)
 
 
 # A symmetric graph with weights 0-3 and a balanced side. Each graph draws
@@ -784,7 +780,7 @@ st_refine_case = st.tuples(
 
 class TestKlRefine:
     @given(st_refine_case)
-    # cases whose side changes when windows break boundary ties by index
+    # cases whose side depends on how windows break boundary ties
     @example((60, (3,), 0.9, 9058))
     @example((70, (1,), 0.9, 2814))
     def test_matches_dense_refinement(self, case):
@@ -875,6 +871,31 @@ class TestBisectionHeuristic:
     def test_odd_n_rejected(self):
         with pytest.raises(BisectionInfeasibleError):
             bisection_heuristic(ring(9))
+
+
+class TestQuotientSeeds:
+    # jumps n/2 (32:1,6,16 and 512:...,256), a ring, a complete graph, and a
+    # circulant with fewer than 8 quotient-arc sides
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "circulant:32:1,6,16",
+            "circulant:512:1,23,31,119,256",
+            "circulant:128:1,8,54",
+            "ring:100",
+            "complete:8",
+            "circulant:4:1,2",
+        ],
+    )
+    def test_closed_form_cuts_rank_as_counted_cuts(self, spec):
+        t = parse_spec(spec)
+        got, want = metrics._quotient_seeds(t), oracles.quotient_seeds(t)
+        assert [s.tobytes() for s in got] == [s.tobytes() for s in want]
+        assert all(np.count_nonzero(s) == t.n // 2 for s in got)
+
+    def test_products_and_edge_lists_get_none(self):
+        assert metrics._quotient_seeds(parse_spec("torus:8,4")) == []
+        assert metrics._quotient_seeds(from_edges(4, [(0, 1), (2, 3)])) == []
 
 
 def _two_rings():
@@ -1016,11 +1037,11 @@ class TestPooledRestarts:
     """Restarts 1.. on a process pool give the sequential loop's cut and side
     for any worker count, and the pool never outlives the call."""
 
-    # (spec, restarts, seed): a floor hit at restart 1 (the 20 x 20 torus),
+    # (spec, restarts, seed): a floor hit at restart 1 (the 10 x 16 torus),
     # one at restart 0, factor-lifted seeds (the product), a single restart,
     # fewer restarts than workers, and one n = 1024 circulant.
     CASES = [
-        ("torus:20,20", 4, 7),
+        ("torus:10,16", 4, 0),
         ("ring:100", 4, 0),
         ("product:circulant:32:1,7*complete:4", 4, 0),
         ("circulant:128:1,8,54", 1, 0),
@@ -1039,10 +1060,10 @@ class TestPooledRestarts:
 
     def test_torus_meets_the_floor_after_restart_zero(self):
         # what makes the torus case above test the pool's early stop
-        t = parse_spec("torus:20,20")
+        t = parse_spec("torus:10,16")
         floor = bisection_lower_bound(t)
-        assert _best_balanced_side(t, 1, 7, 1)[0] > floor
-        assert _best_balanced_side(t, 2, 7, 1)[0] == floor
+        assert _best_balanced_side(t, 1, 0, 1)[0] > floor
+        assert _best_balanced_side(t, 2, 0, 1)[0] == floor
 
     def test_pool_used_above_the_threshold_only(self, monkeypatch):
         calls = []
