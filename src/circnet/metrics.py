@@ -23,8 +23,8 @@ columns whose per-half cuts and crossing degrees already reach the best cut
 found are skipped (a valid lower bound, so the result equals full
 enumeration), and the rest are scored by popcounts of crossing-edge
 bitmasks, integer numpy with no matrix product.
-Larger graphs get a restarted multilevel Kernighan-Lin search that only ever
-holds balanced states; or an externally supplied partition whose cut is
+Larger graphs get a restarted Kernighan-Lin search that only ever holds
+balanced states; or an externally supplied partition whose cut is
 recomputed, never trusted. Each KL step takes the best gain over the top
 windows of both sides, widened until nothing outside can beat it. Gain
 buckets in the manner of Fiduccia and Mattheyses find that pair at
@@ -33,7 +33,8 @@ O(degree) cost per swap: each side's unlocked vertices stay sorted by
 index, and a swap moves only its endpoints' neighbours. Nothing in a
 trajectory depends on the CPU. A circulant's first restarts start from its
 quotient-arc sides of smallest cut (`_quotient_seeds`), a product's from
-its factors' sides lifted (`_factor_lift_seeds`).
+its factors' sides lifted (`_factor_lift_seeds`), and every other restart
+from a random balanced side (`_random_cut`).
 
 Both solvers stop at `bisection_lower_bound`, a floor no balanced cut can
 go below (the larger of a spectral and an all-to-all congestion bound): a
@@ -531,7 +532,7 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
             " use bisection_heuristic"
         )
     floor = bisection_lower_bound(t)
-    best, side = _multilevel_cut(_work_graph(t), random.Random(0), coarsen_to=n)
+    best, side = _random_cut(_work_graph(t), random.Random(0))
     if best <= floor:
         return best
 
@@ -603,11 +604,8 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
 class _WorkGraph:
     """Weighted working form for the partition heuristic: a dense symmetric
     weight matrix, and each vertex's neighbours as a {neighbour: weight}
-    dict, built once per level for the O(degree) swap updates and mate picks.
-
-    Finest level carries unit weights; coarser levels aggregate contracted
-    edge multiplicities. All vertices of one level have equal cluster size,
-    so balanced swaps on any level stay balanced after projection.
+    dict, built once per graph for the O(degree) swap updates. A topology's
+    graph carries unit weights.
     """
 
     def __init__(self, weights: np.ndarray):
@@ -764,76 +762,15 @@ def _kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
         side[np.array(swaps[: best_at + 1]).ravel()] ^= 1
 
 
-def _contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, np.ndarray]:
-    """Pair every vertex with a mate (heaviest unmatched neighbor first, then
-    leftovers pair among themselves) and merge pairs into a half-size graph.
-
-    Mates come from the {neighbor: weight} dicts, O(degree) per vertex.
-    Returns the coarse graph and the cluster map: cid[v] is v's coarse
-    vertex, numbered by each pair's first appearance in the shuffled order,
-    so a coarse side projects back as side[cid]. Pairing everything keeps
-    cluster sizes equal at every level, which is what lets coarse balanced
-    swaps stay balanced after projection.
-    """
-    n = g.n
-    order = list(range(n))
-    rng.shuffle(order)
-    mate = [-1] * n
-    for u in order:
-        if mate[u] != -1:
-            continue
-        # heaviest unmatched neighbor, the smallest index among equals (adj is in index order)
-        v, heaviest = -1, 0
-        for w, weight in g.adj[u].items():
-            if weight > heaviest and mate[w] == -1:
-                v, heaviest = w, weight
-        if v != -1:
-            mate[u] = v
-            mate[v] = u
-    singles = [u for u in order if mate[u] == -1]
-    for a, b in zip(singles[::2], singles[1::2]):
-        mate[a] = b
-        mate[b] = a
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    cid = np.unique(np.minimum(pos, pos[np.array(mate)]), return_inverse=True)[1]
-    a, b = np.argsort(cid, kind="stable").reshape(-1, 2).T  # each cluster's members
-    rows = g.weights[a] + g.weights[b]
-    coarse = rows[:, a] + rows[:, b]
-    np.fill_diagonal(coarse, 0)  # edges inside a pair vanish
-    return _WorkGraph(coarse), cid
-
-
-# Heuristic shape: coarsen down to this many vertices before the first
-# refinement, then kick-and-refine this many times per restart.
-_COARSEN_FLOOR = 64
+# Kick-and-refine rounds per restart.
 _ILS_ROUNDS = 6
 
 
-def _multilevel_cut(
-    g: _WorkGraph, rng: random.Random, coarsen_to: int = _COARSEN_FLOOR
-) -> tuple[int, np.ndarray]:
-    """One V-cycle: contract to `coarsen_to` vertices (not at all when that
-    is >= g.n), bisect a random balanced start, project back refining.
-
-    Only sizes divisible by 4 are contracted, so every level is even and the
-    top's balanced side projects to a bisection of g. Each level's cluster
-    map projects a coarse side onto the finer level with one gather, side[cid].
-    """
-    levels = [g]
-    maps: list[np.ndarray] = []
-    while levels[-1].n > coarsen_to and levels[-1].n % 4 == 0:
-        coarse, cid = _contract(levels[-1], rng)
-        levels.append(coarse)
-        maps.append(cid)
-    top = levels[-1]
-    side = np.ones(top.n, dtype=np.int8)
-    side[rng.sample(range(top.n), top.n // 2)] = 0
-    cut = _kl_refine(top, side)
-    for level in range(len(levels) - 2, -1, -1):
-        side = side[maps[level]]
-        cut = _kl_refine(levels[level], side)
-    return cut, side
+def _random_cut(g: _WorkGraph, rng: random.Random) -> tuple[int, np.ndarray]:
+    """KL from a balanced side drawn with `rng.sample`."""
+    side = np.ones(g.n, dtype=np.int8)
+    side[rng.sample(range(g.n), g.n // 2)] = 0
+    return _kl_refine(g, side), side
 
 
 def _factor_lift_seeds(
@@ -898,17 +835,17 @@ def _restart(
     floor: int,
 ) -> tuple[int, np.ndarray]:
     """Restart i of `_best_balanced_side`: KL from `seed_side` when one is
-    given, else a `_multilevel_cut` V-cycle (without contraction for odd i),
-    then `_ILS_ROUNDS` kick-and-refine rounds on the best side so far, which
-    stop once it meets `floor`. Round r swaps kicks[r % 3] random pairs
-    across. Everything random comes from seed + i."""
+    given, else from a random balanced side (`_random_cut`), then
+    `_ILS_ROUNDS` kick-and-refine rounds on the best side so far, which stop
+    once it meets `floor`. Round r swaps kicks[r % 3] random pairs across.
+    Everything random comes from seed + i."""
     rng = random.Random(seed + i)
     kicks = (16, max(16, g.n // 16), max(24, g.n // 8))
     if seed_side is not None:
         side = seed_side.copy()
         cut = _kl_refine(g, side)
     else:
-        cut, side = _multilevel_cut(g, rng, coarsen_to=_COARSEN_FLOOR if i % 2 == 0 else g.n)
+        cut, side = _random_cut(g, rng)
     run_best, run_side = cut, side.copy()
     for r in range(_ILS_ROUNDS):
         if run_best <= floor:
@@ -977,7 +914,7 @@ def _best_balanced_side(
 
     Restart i (`_restart`) starts from a seed side while those last (a
     product's lifted factor sides, a circulant's `_quotient_seeds`) and from
-    a V-cycle otherwise. Perturbation rounds stop once the
+    a random balanced side otherwise. Perturbation rounds stop once the
     restart's cut meets a floor, and restarts stop once the best cut does.
     The floor is the width itself, from `bisection_exact`, when
     `bisection_method` calls n "exact" (as for the 32-vertex factors of
@@ -1014,13 +951,11 @@ def bisection_heuristic(
 ) -> int:
     """Best balanced cut over `restarts` runs of iterated Kernighan-Lin.
 
-    Restarts alternate between multilevel V-cycles (randomized pair
-    contraction, coarse bisection, refine on the way back up) and flat
-    refinement of random balanced starts; the first restarts of a product
-    start from lifted factor bisections instead, and those of a circulant
-    from its quotient-arc sides of smallest cut. Every local minimum is then
-    perturbed (a seeded batch of cross-pair swaps) and re-refined a few
-    rounds. Deterministic for a given seed on any CPU (KL gives D ties to
+    Each restart refines a random balanced start; the first restarts of a
+    product start from lifted factor bisections instead, and those of a
+    circulant from its quotient-arc sides of smallest cut. Every local
+    minimum is then perturbed (a seeded batch of cross-pair swaps) and
+    re-refined a few rounds. Deterministic for a given seed on any CPU (KL gives D ties to
     the lower index): restart i draws everything from
     seed + i and the result is the minimum over restarts by (cut, index),
     independent of execution order. Always an upper bound on the true

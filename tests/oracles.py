@@ -8,10 +8,9 @@ source vertex; `evaluate` routes one flow at a time along its path, adding
 each hop's demand to a dict; `_best_swap` sorts each side's whole
 unlocked set by (-D, index) for every window it tries, and `kl_refine`
 calls it on every step and updates D by a whole weight-matrix row per moved
-vertex; `contract` picks each mate by scanning a masked dense weight row;
-`best_balanced_side` runs every restart and every perturbation round, with
-no lower bound to stop at, and ranks a circulant's quotient-arc seed sides
-by cuts counted edge by edge;
+vertex; `best_balanced_side` runs every restart and every perturbation
+round, with no lower bound to stop at, and ranks a circulant's quotient-arc
+seed sides by cuts counted edge by edge;
 `cartesian_product`, `torus` and `hypercube` build products as a binary fold
 with (u, v) -> u * b.n + v arithmetic of their own;
 `circulant_distance_profile` expands each BFS frontier by two shifts per
@@ -33,7 +32,6 @@ from circnet.metrics import (
     _ILS_ROUNDS,
     _NOTHING_LEFT,
     _kl_refine,
-    _multilevel_cut,
     _work_graph,
     _WorkGraph,
 )
@@ -313,37 +311,6 @@ def kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
             return cut
 
 
-def contract(g: _WorkGraph, rng: random.Random) -> tuple[_WorkGraph, np.ndarray]:
-    """Pair every vertex with a mate (heaviest unmatched neighbor first, then
-    leftovers pair among themselves) and merge pairs into a half-size graph;
-    returns the coarse graph and the vertex-to-cluster map."""
-    n = g.n
-    order = list(range(n))
-    rng.shuffle(order)
-    mate = np.full(n, -1)
-    for u in order:
-        if mate[u] != -1:
-            continue
-        # heaviest unmatched neighbor, the smallest index among equals
-        row = np.where(mate == -1, g.weights[u], 0)
-        v = int(row.argmax())
-        if row[v] > 0:
-            mate[u] = v
-            mate[v] = u
-    singles = [u for u in order if mate[u] == -1]
-    for a, b in zip(singles[::2], singles[1::2]):
-        mate[a] = b
-        mate[b] = a
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    cid = np.unique(np.minimum(pos, pos[mate]), return_inverse=True)[1]
-    a, b = np.argsort(cid, kind="stable").reshape(-1, 2).T  # each cluster's members
-    rows = g.weights[a] + g.weights[b]
-    coarse = rows[:, a] + rows[:, b]
-    np.fill_diagonal(coarse, 0)  # edges inside a pair vanish
-    return _WorkGraph(coarse), cid
-
-
 def cartesian_product(a: Topology, b: Topology) -> Topology:
     """Cartesian product with vertex (u, v) indexed as u * b.n + v."""
     nb = b.n
@@ -420,9 +387,9 @@ def quotient_seeds(t: Topology) -> list[np.ndarray]:
 
 
 def best_balanced_side(t: Topology, restarts: int, seed: int) -> tuple[int, np.ndarray]:
-    """Every restart and every perturbation round of the iterated KL search,
+    """Every restart and every perturbation round of the iterated KL search:
     factor-lifted seeds (themselves from this full loop) or quotient-arc
-    seeds included."""
+    seeds first, a random balanced side for every restart after them."""
     n = t.n
     if n == 2:
         return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
@@ -442,13 +409,10 @@ def best_balanced_side(t: Topology, restarts: int, seed: int) -> tuple[int, np.n
         rng = random.Random(seed + i)
         if i < len(seeds):
             side = seeds[i].copy()
-            cut = _kl_refine(g, side)
-        elif i % 2 == 0:
-            cut, side = _multilevel_cut(g, rng)
         else:
             side = np.ones(n, dtype=np.int8)
             side[rng.sample(range(n), n // 2)] = 0
-            cut = _kl_refine(g, side)
+        cut = _kl_refine(g, side)
         run_best, run_side = cut, side.copy()
         for r in range(_ILS_ROUNDS):
             side = run_side.copy()

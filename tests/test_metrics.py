@@ -39,7 +39,6 @@ from circnet.metrics import (
     _GainBuckets,
     _WorkGraph,
     _best_balanced_side,
-    _contract,
     _half_tables,
     _kl_refine,
 )
@@ -579,7 +578,7 @@ class TestBisectionExactSparse:
 
 def _start_cut(t):
     """The Kernighan-Lin cut `bisection_exact` starts from."""
-    return metrics._multilevel_cut(metrics._work_graph(t), random.Random(0), coarsen_to=t.n)[0]
+    return metrics._random_cut(metrics._work_graph(t), random.Random(0))[0]
 
 
 def _edge_copy(t):
@@ -624,7 +623,7 @@ class TestBisectionExactProof:
         # width 41 is found only when the second word is counted.
         t = from_edges(18, halves_biclique(18).edges() + [(0, 7), (0, 8), (7, 8)])
         side = np.repeat(np.array([0, 1], dtype=np.int8), 9)
-        with mock.patch.object(metrics, "_multilevel_cut", return_value=(81, side)):
+        with mock.patch.object(metrics, "_random_cut", return_value=(81, side)):
             assert bisection_exact(t, limit=18) == brute_bisection(t) == 41
 
     @given(st_graph, st.randoms(use_true_random=False))
@@ -637,7 +636,7 @@ class TestBisectionExactProof:
         side = np.ones(n, dtype=np.int8)
         side[rnd.sample(range(n), n // 2)] = 0
         start = (cut_size(t, set(np.flatnonzero(side == 0).tolist())), side)
-        with mock.patch.object(metrics, "_multilevel_cut", return_value=start):
+        with mock.patch.object(metrics, "_random_cut", return_value=start):
             assert bisection_exact(t, limit=16) == brute_bisection(t)
 
     @pytest.mark.parametrize("chunk", [1, 5])
@@ -796,26 +795,6 @@ class TestKlRefine:
         assert side.tobytes() == expected.tobytes()
 
 
-class TestContract:
-    @given(st_refine_case, st.integers(0, 10_000))
-    @settings(max_examples=150)
-    def test_matches_dense_row_matching(self, case, rng_seed):
-        # Few weight values, so the heaviest-neighbor choice ties often;
-        # contracting twice also covers coarse weights above the palette.
-        n, palette, density, seed = case
-        rnd = random.Random(seed)
-        w = [rnd.choice(palette) if rnd.random() < density else 0 for _ in range(n * n)]
-        weights = np.triu(np.array(w, dtype=np.int32).reshape(n, n), 1)
-        g = expected = _WorkGraph(weights + weights.T)
-        rng, rng_expected = random.Random(rng_seed), random.Random(rng_seed)
-        while g.n % 2 == 0 and g.n > 1:
-            g, cid = _contract(g, rng)
-            expected, cid_expected = oracles.contract(expected, rng_expected)
-            assert cid.tolist() == cid_expected.tolist()
-            assert np.array_equal(g.weights, expected.weights)
-            assert g.adj == expected.adj
-
-
 class TestBisectionHeuristic:
     def test_never_below_exact(self):
         rnd = random.Random(7)
@@ -850,6 +829,16 @@ class TestBisectionHeuristic:
         n, p, graph_seed = params
         assume(n % 2 == 0)
         t = random_graph(random.Random(graph_seed), n, p)
+        cut, side = _best_balanced_side(t, 4, seed)
+        want_cut, want_side = oracles.best_balanced_side(t, 4, seed)
+        assert (cut, side.tobytes()) == (want_cut, want_side.tobytes())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unseeded_restarts_match_the_full_loop(self, seed):
+        # an edge list has no jumps, so no quotient seeds, and a lower bound
+        # of 0, so all 4 restarts start from random balanced sides
+        t = _edge_copy(parse_spec("circulant:128:1,8,54"))
+        assert metrics._quotient_seeds(t) == [] and bisection_lower_bound(t) == 0
         cut, side = _best_balanced_side(t, 4, seed)
         want_cut, want_side = oracles.best_balanced_side(t, 4, seed)
         assert (cut, side.tobytes()) == (want_cut, want_side.tobytes())
@@ -908,9 +897,9 @@ def _two_rings():
 
 
 class TestVCycleBalance:
-    """Every V-cycle level is even, so every side is a bisection; sizes whose
-    halving reaches an odd level above the coarsening floor once gave
-    unbalanced sides."""
+    """Every side is a bisection, also for sizes not divisible by 4 (whose
+    halving once reached an odd level of a contraction scheme and gave
+    unbalanced sides)."""
 
     @pytest.mark.parametrize(
         "spec",
