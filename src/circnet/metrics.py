@@ -532,7 +532,7 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
             " use bisection_heuristic"
         )
     floor = bisection_lower_bound(t)
-    best, side = _random_cut(_work_graph(t), random.Random(0))
+    best, side = _random_cut(_WorkGraph(t), random.Random(0))
     if best <= floor:
         return best
 
@@ -602,23 +602,18 @@ def bisection_exact(t: Topology, limit: int = DEFAULT_EXACT_LIMIT) -> int:
 
 
 class _WorkGraph:
-    """Weighted working form for the partition heuristic: a dense symmetric
-    weight matrix, and each vertex's neighbours as a {neighbour: weight}
-    dict, built once per graph for the O(degree) swap updates. A topology's
-    graph carries unit weights.
+    """A topology's graph as the partition heuristic reads it: each vertex's
+    neighbours as a set and its degree, for the O(degree) swap updates, and
+    every edge in both directions as index arrays `src` -> `dst`, for the
+    count of cut edges at each vertex that starts a pass.
     """
 
-    def __init__(self, weights: np.ndarray):
-        self.n = len(weights)
-        self.weights = weights
-        self.degw = weights.sum(axis=1, dtype=np.int64)
-        self.adj = [
-            dict(zip(np.flatnonzero(row).tolist(), row[row != 0].tolist())) for row in weights
-        ]
-
-
-def _work_graph(t: Topology) -> _WorkGraph:
-    return _WorkGraph(t.matrix().astype(np.int32))
+    def __init__(self, t: Topology):
+        self.n = t.n
+        self.adj = [set(nbrs) for nbrs in t.adjacency]
+        self.deg = np.array([len(nbrs) for nbrs in t.adjacency], dtype=np.int64)
+        self.src = np.repeat(np.arange(t.n), self.deg)
+        self.dst = np.array([w for nbrs in t.adjacency for w in nbrs], dtype=np.int64)
 
 
 # `rest` of a window that holds every available vertex.
@@ -626,11 +621,12 @@ _NOTHING_LEFT = -(1 << 30)
 
 
 def _scan(
-    D: list[int], adj: list[dict[int, int]], rows: list[int], cols: list[int]
+    D: list[int], adj: list[set[int]], rows: list[int], cols: list[int]
 ) -> tuple[int, int, int]:
-    """First row-major maximum of D[u] + D[v] - 2 w(u, v) over rows x cols,
-    both ordered by (-D, index). D[u] + D[v] bounds a pair's gain and falls
-    along every row and column, so the scan stops where it cannot be beaten.
+    """First row-major maximum of D[u] + D[v], less 2 for an edge uv, over
+    rows x cols, both ordered by (-D, index). D[u] + D[v] bounds a pair's
+    gain and falls along every row and column, so the scan stops where it
+    cannot be beaten.
     """
     best, bu, bv = -math.inf, -1, -1
     d_col = D[cols[0]]
@@ -638,12 +634,12 @@ def _scan(
         du = D[u]
         if du + d_col <= best:
             break
-        wu = adj[u]
+        nbrs = adj[u]
         for v in cols:
             bound = du + D[v]
             if bound <= best:
                 break
-            gain = bound - 2 * wu.get(v, 0)
+            gain = bound - 2 if v in nbrs else bound
             if gain > best:
                 best, bu, bv = gain, u, v
     return bu, bv, best
@@ -673,12 +669,13 @@ class _GainBuckets:
 
     def best(self) -> tuple[int, int, int] | None:
         """The highest-gain pair (u, v, gain), u unlocked on side A and v on
-        side B, gain = D[u] + D[v] - 2 w(u, v), or None once a side is empty.
+        side B, gain = D[u] + D[v] less 2 for an edge uv, or None once a
+        side is empty.
 
         Windows of width 8, 16, ... are scanned until the best gain inside
-        beats every pair with a member outside (edge weights only lower a
-        gain); the first maximum in row-major order over the sorted windows
-        is taken."""
+        beats every pair with a member outside (an edge only lowers a gain);
+        the first maximum in row-major order over the sorted windows is
+        taken."""
         (order_a, order_b), n = self.order, self.n
         len_a, len_b = len(order_a), len(order_b)
         if not len_a or not len_b:
@@ -699,7 +696,7 @@ class _GainBuckets:
 
     def swap(self, u: int, v: int) -> None:
         """Lock u (side A) and v (side B) and move them across: each unlocked
-        neighbour's D changes by 2 w per moved endpoint, up when the endpoint
+        neighbour's D changes by 2 per moved endpoint, up when the endpoint
         leaves the neighbour's side and down when it joins it."""
         n, D, where, order = self.n, self.D, self.where, self.order
         for x, s in ((u, 0), (v, 1)):
@@ -707,14 +704,14 @@ class _GainBuckets:
             del keys[bisect_left(keys, -D[x] * n + x)]
             where[x] = -1
         for x, up in ((u, 0), (v, 1)):
-            for y, w in self.adj[x].items():
+            for y in self.adj[x]:
                 s = where[y]
                 if s < 0:
                     continue
                 keys = order[s]
                 d = D[y]
                 del keys[bisect_left(keys, -d * n + y)]
-                D[y] = d = d + 2 * w if s == up else d - 2 * w
+                D[y] = d = d + 2 if s == up else d - 2
                 insort(keys, -d * n + y)
 
 
@@ -724,18 +721,19 @@ def _kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
     Each pass tentatively swaps vertex pairs (allowing negative interim
     gains), then keeps the prefix with the best cumulative gain. A pass is
     abandoned once the prefix maximum has stalled for max(48, n/16) steps;
-    balance is preserved at every step. Each step takes the pair
-    `_GainBuckets.best` picks, at O(degree) cost per swap.
+    balance is preserved at every step. A pass counts D over the edge
+    arrays; each step takes the pair `_GainBuckets.best` picks, at O(degree)
+    cost per swap.
     """
     n = g.n
     window = max(48, n // 16)
     while True:
-        # ext[v]: weight from v to the other side
-        to_b = g.weights @ side
-        ext = np.where(side == 1, g.degw - to_b, to_b)
+        # ext[v]: edges from v to the other side
+        cross = side[g.src] != side[g.dst]
+        ext = np.bincount(g.src[cross], minlength=n)
         cut = int(ext[side == 0].sum())
         buckets = _GainBuckets(
-            g, 2 * ext - g.degw, np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+            g, 2 * ext - g.deg, np.flatnonzero(side == 0), np.flatnonzero(side == 1)
         )
         swaps: list[tuple[int, int]] = []
         running = 0
@@ -933,7 +931,7 @@ def _best_balanced_side(
         return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
     floor = bisection_exact(t) if bisection_method(n) == "exact" else bisection_lower_bound(t)
     seeds = _factor_lift_seeds(t, restarts, seed, workers) or _quotient_seeds(t)
-    job = (_work_graph(t), seeds, seed, floor)
+    job = (_WorkGraph(t), seeds, seed, floor)
     runs = [_job_restart(job, 0)]
     procs = min(available_cores() if workers is None else workers, restarts - 1)
     if runs[0][0] > floor and n >= _POOL_MIN_N and procs > 1:

@@ -7,8 +7,8 @@ The pattern builders make one tuple per flow, random pairs by one
 source vertex; `evaluate` routes one flow at a time along its path, adding
 each hop's demand to a dict; `_best_swap` sorts each side's whole
 unlocked set by (-D, index) for every window it tries, and `kl_refine`
-calls it on every step and updates D by a whole weight-matrix row per moved
-vertex; `best_balanced_side` runs every restart and every perturbation
+calls it on every step and updates D by a whole adjacency-matrix row per
+moved vertex; `best_balanced_side` runs every restart and every perturbation
 round, with no lower bound to stop at, and ranks a circulant's quotient-arc
 seed sides by cuts counted edge by edge;
 `cartesian_product`, `torus` and `hypercube` build products as a binary fold
@@ -28,13 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from circnet.combinatorics import successor_inplace, unrank_elements
-from circnet.metrics import (
-    _ILS_ROUNDS,
-    _NOTHING_LEFT,
-    _kl_refine,
-    _work_graph,
-    _WorkGraph,
-)
+from circnet.metrics import _ILS_ROUNDS, _NOTHING_LEFT, _kl_refine, _WorkGraph
 from circnet.routing import _first_hops_from_zero
 from circnet.search import _RangeState
 from circnet.topology import JumpSpacePlan, Topology, complete, mixed_radix, ring
@@ -226,14 +220,15 @@ def _window(avail: np.ndarray, D: np.ndarray, k: int) -> tuple[np.ndarray, int]:
 
 
 def _best_swap(
-    g: _WorkGraph, D: np.ndarray, avail_a: np.ndarray, avail_b: np.ndarray
+    m: np.ndarray, D: np.ndarray, avail_a: np.ndarray, avail_b: np.ndarray
 ) -> tuple[int, int, int] | None:
-    """Highest-gain pair u in avail_a, v in avail_b; gain = D[u] + D[v] - 2*w(u, v).
+    """Highest-gain pair u in avail_a, v in avail_b; gain = D[u] + D[v] - 2*m[u, v]
+    with m the dense 0/1 adjacency matrix.
 
     This is the definition `_GainBuckets.best` follows. Candidates come from
     the top of each side by (-D, index) (`_window`); the window widens until
-    the best found provably dominates everything outside it (edge weights
-    only lower the gain). Ties break on the first pair in row-major order
+    the best found provably dominates everything outside it (an edge only
+    lowers the gain). Ties break on the first pair in row-major order
     over the sorted windows.
     """
     if len(avail_a) == 0 or len(avail_b) == 0:
@@ -242,7 +237,7 @@ def _best_swap(
     while True:
         top_a, rest_a = _window(avail_a, D, min(t_width, len(avail_a)))
         top_b, rest_b = _window(avail_b, D, min(t_width, len(avail_b)))
-        gains = D[top_a][:, None] + D[top_b] - 2 * g.weights[top_a[:, None], top_b]
+        gains = D[top_a][:, None] + D[top_b] - 2 * m[top_a[:, None], top_b]
         i, j = divmod(int(gains.argmax()), len(top_b))
         gain = int(gains[i, j])
         if gain >= rest_a + int(D[top_b[0]]) and gain >= int(D[top_a[0]]) + rest_b:
@@ -250,7 +245,7 @@ def _best_swap(
         t_width *= 2
 
 
-def kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
+def kl_refine(t: Topology, side: np.ndarray) -> int:
     """Kernighan-Lin passes until no pass improves; side is refined in place.
 
     Each pass tentatively swaps vertex pairs (allowing negative interim
@@ -258,16 +253,18 @@ def kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
     abandoned once the prefix maximum has stalled for max(48, n/16) steps;
     balance is preserved at every step.
     """
-    n = g.n
+    n = t.n
+    m = t.matrix().astype(np.int64)
+    deg = m.sum(axis=1)
     window = max(48, n // 16)
     while True:
-        # ext[v]: weight from v to the other side
-        to_b = g.weights @ side
-        ext = np.where(side == 1, g.degw - to_b, to_b)
+        # ext[v]: edges from v to the other side
+        to_b = m @ side
+        ext = np.where(side == 1, deg - to_b, to_b)
         cut = int(ext[side == 0].sum())
-        D = 2 * ext - g.degw
+        D = 2 * ext - deg
 
-        # When x changes side, each neighbor y moves by -2 w(x, y) sign[x]
+        # When x changes side, each neighbor y moves by -2 m[x, y] sign[x]
         # sign[y], where sign is +1 on side 0 and -1 on side 1.
         sign = 1 - 2 * side.astype(np.int64)
         # unlocked vertices of each side: those not yet swapped in this pass
@@ -279,7 +276,7 @@ def kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
         best_at = -1
         stall = 0
         for step in range(n // 2):
-            pick = _best_swap(g, D, avail_a, avail_b)
+            pick = _best_swap(m, D, avail_a, avail_b)
             if pick is None:
                 break
             u, v, gain = pick
@@ -288,7 +285,7 @@ def kl_refine(g: _WorkGraph, side: np.ndarray) -> int:
             for x in (u, v):
                 side[x] ^= 1
                 sign[x] = -sign[x]
-                D -= 2 * sign[x] * (g.weights[x] * sign)
+                D -= 2 * sign[x] * (m[x] * sign)
                 D[x] = -D[x]
             avail_a = avail_a[avail_a != u]
             avail_b = avail_b[avail_b != v]
@@ -393,7 +390,7 @@ def best_balanced_side(t: Topology, restarts: int, seed: int) -> tuple[int, np.n
     n = t.n
     if n == 2:
         return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
-    g = _work_graph(t)
+    g = _WorkGraph(t)
     kicks = (16, max(16, n // 16), max(24, n // 8))
     seeds = []
     if t.factors is not None and len(t.factors) >= 2:

@@ -578,7 +578,7 @@ class TestBisectionExactSparse:
 
 def _start_cut(t):
     """The Kernighan-Lin cut `bisection_exact` starts from."""
-    return metrics._random_cut(metrics._work_graph(t), random.Random(0))[0]
+    return metrics._random_cut(_WorkGraph(t), random.Random(0))[0]
 
 
 def _edge_copy(t):
@@ -656,63 +656,52 @@ st_work_graph = st.integers(2, 40).flatmap(
 )
 
 
-class TestBestSwap:
-    @given(st_work_graph)
-    @settings(max_examples=150)
-    def test_returns_a_maximum_gain_unlocked_cross_pair(self, params):
-        # D drawn from 7 values so ties are everywhere; status 0 and 1 are
-        # the unlocked vertices of side A and side B, 2 is locked.
-        n, wseed, d, status = params
-        rnd = random.Random(wseed)
-        w = [rnd.choice((0, 0, 1, 2, 3)) for _ in range(n * n)]
-        weights = np.triu(np.array(w, dtype=np.int32).reshape(n, n), 1)
-        g = _WorkGraph(weights + weights.T)
-        D = np.array(d, dtype=np.int64)
-        avail_a = np.flatnonzero(np.array(status) == 0)
-        avail_b = np.flatnonzero(np.array(status) == 1)
-        pick = _best_swap(g, D, avail_a, avail_b)
-        if len(avail_a) == 0 or len(avail_b) == 0:
-            assert pick is None
-            return
-        u, v, gain = pick
-        assert status[u] == 0 and status[v] == 1
-        assert gain == D[u] + D[v] - 2 * g.weights[u, v]
-        assert gain == max(
-            D[a] + D[b] - 2 * g.weights[a, b] for a in avail_a for b in avail_b
-        )
-
-    @pytest.mark.parametrize("flip", [False, True])
-    def test_best_pair_beyond_a_heavy_top_window(self, flip):
-        # Side X: 8 vertices with D = 1, each tied to the top vertex of side Y
-        # by weight 3, and 12 free vertices with D = 0. Side Y: one vertex
-        # with D = 5 and 11 with D = -5. Every pair among the top eight of X
-        # gains at most 0, while a free X vertex with the top of Y gains 5.
-        x = np.arange(20)
-        y = np.arange(20, 32)
-        D = np.array([1] * 8 + [0] * 12 + [5] + [-5] * 11, dtype=np.int64)
-        weights = np.zeros((32, 32), dtype=np.int32)
-        weights[:8, 20] = weights[20, :8] = 3
-        g = _WorkGraph(weights)
-        if flip:
-            v, u, gain = _best_swap(g, D, y, x)
-        else:
-            u, v, gain = _best_swap(g, D, x, y)
-        assert gain == 5 and v == 20 and 8 <= u < 20
-
-
-def _work_state(n, wseed, d, status):
-    """An st_work_graph draw as (graph, D, avail_a, avail_b): status 0 and 1
-    are the unlocked vertices of side A and side B, 2 is locked."""
-    rnd = random.Random(wseed)
-    w = [rnd.choice((0, 0, 1, 2, 3)) for _ in range(n * n)]
-    weights = np.triu(np.array(w, dtype=np.int32).reshape(n, n), 1)
+def _work_state(n, gseed, d, status):
+    """An st_work_graph draw as (graph, 0/1 adjacency matrix, D, avail_a,
+    avail_b): a random graph with edge probability 0.6 drawn from gseed;
+    status 0 and 1 are the unlocked vertices of side A and side B, 2 is
+    locked."""
+    t = random_graph(random.Random(gseed), n, 0.6)
     status = np.array(status)
     return (
-        _WorkGraph(weights + weights.T),
+        _WorkGraph(t),
+        t.matrix().astype(np.int64),
         np.array(d, dtype=np.int64),
         np.flatnonzero(status == 0),
         np.flatnonzero(status == 1),
     )
+
+
+class TestBestSwap:
+    @given(st_work_graph)
+    @settings(max_examples=150)
+    def test_returns_a_maximum_gain_unlocked_cross_pair(self, params):
+        # D drawn from 7 values so ties are everywhere
+        _, m, D, avail_a, avail_b = _work_state(*params)
+        pick = _best_swap(m, D, avail_a, avail_b)
+        if len(avail_a) == 0 or len(avail_b) == 0:
+            assert pick is None
+            return
+        u, v, gain = pick
+        assert u in avail_a and v in avail_b
+        assert gain == D[u] + D[v] - 2 * m[u, v]
+        assert gain == max(D[a] + D[b] - 2 * m[a, b] for a in avail_a for b in avail_b)
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_best_pair_beyond_a_heavy_top_window(self, flip):
+        # Side X: 8 vertices with D = 1, each joined to the top vertex of
+        # side Y, and 12 free vertices with D = 0. Side Y: one vertex with
+        # D = 5 and 11 with D = -5. Every pair among the top eight of X
+        # gains at most 4, while a free X vertex with the top of Y gains 5.
+        x = np.arange(20)
+        y = np.arange(20, 32)
+        D = np.array([1] * 8 + [0] * 12 + [5] + [-5] * 11, dtype=np.int64)
+        m = from_edges(32, [(a, 20) for a in range(8)]).matrix()
+        if flip:
+            v, u, gain = _best_swap(m, D, y, x)
+        else:
+            u, v, gain = _best_swap(m, D, x, y)
+        assert gain == 5 and v == 20 and 8 <= u < 20
 
 
 class TestGainBuckets:
@@ -720,33 +709,35 @@ class TestGainBuckets:
     @settings(max_examples=150)
     # draws where ties across a window boundary decide the pair
     @example((
-        26, 7272,
-        [0, 1, 2, 3, -2, -2, 1, 2, 1, 2, -3, 2, 2, 1, 2, 0, -3, 2, -1, 3, 2, 3, 3, -1, -3, 0],
-        [2, 1, 2, 1, 2, 2, 0, 1, 1, 1, 0, 0, 1, 1, 1, 2, 2, 1, 0, 2, 1, 1, 1, 2, 1, 2],
+        36, 1496,
+        [-3, 2, -2, -3, 2, 3, 0, 2, 3, -1, -3, 3, 1, -1, 1, 0, 2, -1,
+         -1, 1, 3, 1, -1, 1, 2, 3, 2, 1, 1, -3, 2, 1, 0, -3, 1, 3],
+        [1, 0, 2, 1, 1, 2, 1, 1, 1, 1, 0, 2, 2, 0, 2, 1, 1, 1,
+         0, 0, 0, 1, 2, 1, 1, 1, 1, 0, 2, 0, 1, 1, 2, 0, 1, 1],
     ))
     @example((
-        36, 6994,
-        [1, -3, -2, 0, 0, 0, -2, 2, 1, 1, -1, 3, 1, 0, -3, 1, 1, 3,
-         -2, -3, 1, -3, 2, 1, 1, 1, 1, -2, -1, 1, 2, 0, -3, -3, 3, -2],
-        [0, 0, 0, 2, 1, 2, 2, 1, 0, 1, 2, 1, 0, 2, 1, 2, 0, 1,
-         0, 0, 2, 1, 1, 0, 1, 2, 1, 1, 1, 1, 1, 2, 0, 0, 0, 2],
+        39, 5116,
+        [-2, -2, 2, 0, -1, 2, 3, -3, -1, 3, 3, -3, 3, 3, -2, 0, -3, 3, -3, -1,
+         2, -2, 1, -1, 1, 3, -3, 0, 2, 1, 2, 3, 2, 2, -3, -1, -2, 1, 2],
+        [2, 2, 1, 1, 2, 0, 2, 0, 0, 1, 1, 1, 2, 2, 0, 2, 0, 2, 0, 1,
+         1, 1, 1, 1, 1, 1, 2, 2, 1, 0, 0, 0, 1, 1, 2, 0, 2, 2, 1],
     ))
     def test_picks_best_swap_pair_through_a_swap_sequence(self, params):
         # After each pick, u and v are locked and every unlocked vertex's D
         # moves as the dense update moves it; the next pick must still be
         # _best_swap's.
-        g, D, avail_a, avail_b = _work_state(*params)
+        g, m, D, avail_a, avail_b = _work_state(*params)
         buckets = _GainBuckets(g, D, avail_a, avail_b)
         sign = np.zeros(g.n, dtype=np.int64)
         sign[avail_a], sign[avail_b] = 1, -1
         while True:
             pick = buckets.best()
-            assert pick == _best_swap(g, D, avail_a, avail_b)
+            assert pick == _best_swap(m, D, avail_a, avail_b)
             if pick is None:
                 return
             u, v, _ = pick
             buckets.swap(u, v)
-            D = D + 2 * sign * (g.weights[u] - g.weights[v])
+            D = D + 2 * sign * (m[u] - m[v])
             avail_a, avail_b = avail_a[avail_a != u], avail_b[avail_b != v]
 
     def test_boundary_tie_goes_to_the_lower_index(self):
@@ -755,43 +746,39 @@ class TestGainBuckets:
         # the one left out is the highest index, 5. Every A vertex except 4
         # and 5 is joined to B's only vertex 9, so the pair is (4, 9).
         D = np.array([0] * 6 + [1] * 3 + [0], dtype=np.int64)
-        weights = np.zeros((10, 10), dtype=np.int32)
-        weights[[0, 1, 2, 3, 6, 7, 8], 9] = weights[9, [0, 1, 2, 3, 6, 7, 8]] = 1
-        g = _WorkGraph(weights)
+        t = from_edges(10, [(a, 9) for a in (0, 1, 2, 3, 6, 7, 8)])
         avail_a, avail_b = np.arange(9), np.array([9])
         top, rest = _window(avail_a, D, 8)
         assert top.tolist() == [6, 7, 8, 0, 1, 2, 3, 4]
         assert rest == D[5] == 0
-        assert _best_swap(g, D, avail_a, avail_b) == (4, 9, 0)
-        assert _GainBuckets(g, D, avail_a, avail_b).best() == (4, 9, 0)
+        assert _best_swap(t.matrix(), D, avail_a, avail_b) == (4, 9, 0)
+        assert _GainBuckets(_WorkGraph(t), D, avail_a, avail_b).best() == (4, 9, 0)
 
 
-# A symmetric graph with weights 0-3 and a balanced side. Each graph draws
-# one weight palette and density, so the uniform dense ones tie on D almost
-# everywhere and widen their windows past 8.
+# A random graph and the seed of its balanced side. Each graph draws one
+# density, so the dense ones tie on D almost everywhere and widen their
+# windows past 8.
 st_refine_case = st.tuples(
     st.integers(1, 40).map(lambda h: 2 * h),
-    st.sampled_from([(1,), (2,), (3,), (1, 2, 3), (0, 1, 2, 3)]),
     st.sampled_from([0.05, 0.2, 0.5, 0.9, 1.0]),
     st.integers(0, 10_000),
-)
+).map(lambda c: (random_graph(random.Random(c[2]), c[0], c[1]), c[2]))
 
 
 class TestKlRefine:
     @given(st_refine_case)
     # cases whose side depends on how windows break boundary ties
-    @example((60, (3,), 0.9, 9058))
-    @example((70, (1,), 0.9, 2814))
+    @example((random_graph(random.Random(0), 60, 0.9), 0))
+    @example((random_graph(random.Random(3), 70, 0.9), 3))
+    # sizes the heuristic refines: jump n/2 gives single edges; a product
+    @example((parse_spec("circulant:128:1,12,30,64"), 0))
+    @example((parse_spec("product:circulant:32:1,7*complete:4"), 0))
     def test_matches_dense_refinement(self, case):
-        n, palette, density, seed = case
-        rnd = random.Random(seed)
-        w = [rnd.choice(palette) if rnd.random() < density else 0 for _ in range(n * n)]
-        weights = np.triu(np.array(w, dtype=np.int32).reshape(n, n), 1)
-        g = _WorkGraph(weights + weights.T)
-        side = np.ones(n, dtype=np.int8)
-        side[rnd.sample(range(n), n // 2)] = 0
+        t, seed = case
+        side = np.ones(t.n, dtype=np.int8)
+        side[random.Random(seed).sample(range(t.n), t.n // 2)] = 0
         expected = side.copy()
-        assert _kl_refine(g, side) == oracles.kl_refine(g, expected)
+        assert _kl_refine(_WorkGraph(t), side) == oracles.kl_refine(t, expected)
         assert side.tobytes() == expected.tobytes()
 
 
@@ -896,7 +883,7 @@ def _two_rings():
     return from_edges(130, edges)
 
 
-class TestVCycleBalance:
+class TestBalancedSides:
     """Every side is a bisection, also for sizes not divisible by 4 (whose
     halving once reached an odd level of a contraction scheme and gave
     unbalanced sides)."""
