@@ -25,16 +25,16 @@ enumeration), and the rest are scored by popcounts of crossing-edge
 bitmasks, integer numpy with no matrix product.
 Larger graphs get a restarted Kernighan-Lin search that only ever holds
 balanced states; or an externally supplied partition whose cut is
-recomputed, never trusted. Each KL step takes the best gain over the top
-windows of both sides, widened until nothing outside can beat it. Gain
-buckets in the manner of Fiduccia and Mattheyses find that pair at
-O(degree) cost per swap: each side's unlocked vertices stay sorted by
-(-D, index), a window is a prefix of that order, so D ties go to the lower
-index, and a swap moves only its endpoints' neighbours. Nothing in a
-trajectory depends on the CPU. A circulant's first restarts start from its
-quotient-arc sides of smallest cut (`_quotient_seeds`), a product's from
-its factors' sides lifted (`_factor_lift_seeds`), and every other restart
-from a random balanced side (`_random_cut`).
+recomputed, never trusted. Each side's unlocked vertices stay sorted by
+(-D, index), and each KL step takes the first maximum-gain pair in
+row-major order over the two orders, so D ties go to the lower index; the
+scan stops where D[u] + D[v], which bounds every gain, cannot beat it.
+Gain buckets in the manner of Fiduccia and Mattheyses keep the orders at
+O(degree) cost per swap: a swap moves only its endpoints' neighbours.
+Nothing in a trajectory depends on the CPU. A circulant's first restarts
+start from its quotient-arc sides of smallest cut (`_quotient_seeds`), a
+product's from its factors' sides lifted (`_factor_lift_seeds`), and every
+other restart from a random balanced side (`_random_cut`).
 
 Both solvers stop at `bisection_lower_bound`, a floor no balanced cut can
 go below (the larger of a spectral and an all-to-all congestion bound): a
@@ -616,43 +616,13 @@ class _WorkGraph:
         self.dst = np.array([w for nbrs in t.adjacency for w in nbrs], dtype=np.int64)
 
 
-# `rest` of a window that holds every available vertex.
-_NOTHING_LEFT = -(1 << 30)
-
-
-def _scan(
-    D: list[int], adj: list[set[int]], rows: list[int], cols: list[int]
-) -> tuple[int, int, int]:
-    """First row-major maximum of D[u] + D[v], less 2 for an edge uv, over
-    rows x cols, both ordered by (-D, index). D[u] + D[v] bounds a pair's
-    gain and falls along every row and column, so the scan stops where it
-    cannot be beaten.
-    """
-    best, bu, bv = -math.inf, -1, -1
-    d_col = D[cols[0]]
-    for u in rows:
-        du = D[u]
-        if du + d_col <= best:
-            break
-        nbrs = adj[u]
-        for v in cols:
-            bound = du + D[v]
-            if bound <= best:
-                break
-            gain = bound - 2 if v in nbrs else bound
-            if gain > best:
-                best, bu, bv = gain, u, v
-    return bu, bv, best
-
-
 class _GainBuckets:
     """The unlocked vertices of each side in one KL pass, kept sorted by
     (-D, index), so that `best` picks each step's pair and `swap` costs
     O(degree) sorted-list moves.
 
     Each side's list is its D buckets concatenated: key -D * n + v, removed
-    and inserted by bisection. The window of width t is the list's first t
-    entries, so a D tie across its boundary goes to the lower index.
+    and inserted by bisection, so a D tie goes to the lower index.
     """
 
     def __init__(
@@ -672,27 +642,31 @@ class _GainBuckets:
         side B, gain = D[u] + D[v] less 2 for an edge uv, or None once a
         side is empty.
 
-        Windows of width 8, 16, ... are scanned until the best gain inside
-        beats every pair with a member outside (an edge only lowers a gain);
-        the first maximum in row-major order over the sorted windows is
-        taken."""
+        The first maximum in row-major order over both sides' (-D, index)
+        orders is taken. D[u] + D[v] bounds a pair's gain (an edge only
+        lowers it) and falls along every row and column, so the scan stops
+        where it cannot be beaten."""
         (order_a, order_b), n = self.order, self.n
-        len_a, len_b = len(order_a), len(order_b)
-        if not len_a or not len_b:
+        if not order_a or not order_b:
             return None
         D, adj = self.D, self.adj
-        top_a, top_b = -(order_a[0] // n), -(order_b[0] // n)
-        t_width = 8
-        while True:
-            ka, kb = min(t_width, len_a), min(t_width, len_b)
-            rest_a = -(order_a[ka] // n) if ka < len_a else _NOTHING_LEFT
-            rest_b = -(order_b[kb] // n) if kb < len_b else _NOTHING_LEFT
-            rows = [key % n for key in order_a[:ka]]
-            cols = [key % n for key in order_b[:kb]]
-            u, v, gain = _scan(D, adj, rows, cols)
-            if gain >= rest_a + top_b and gain >= top_a + rest_b:
-                return u, v, gain
-            t_width *= 2
+        d_col = -(order_b[0] // n)
+        best, bu, bv = -math.inf, -1, -1
+        for key in order_a:
+            u = key % n
+            du = D[u]
+            if du + d_col <= best:
+                break
+            nbrs = adj[u]
+            for key_v in order_b:
+                v = key_v % n
+                bound = du + D[v]
+                if bound <= best:
+                    break
+                gain = bound - 2 if v in nbrs else bound
+                if gain > best:
+                    best, bu, bv = gain, u, v
+        return bu, bv, best
 
     def swap(self, u: int, v: int) -> None:
         """Lock u (side A) and v (side B) and move them across: each unlocked

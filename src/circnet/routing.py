@@ -25,7 +25,8 @@ class RoutingTable:
     """Dense next-hop map; rows[s, d] is the neighbor of s toward d.
 
     `rows` is stored as a private read-only n x n int32 copy of whatever
-    array-like is passed in.
+    array-like is passed in. Its entries must be integers in [0, n), so the
+    copy neither wraps nor truncates one.
     """
 
     n: int
@@ -33,9 +34,14 @@ class RoutingTable:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=np.int32)
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"routing table entries have dtype {rows.dtype}, need integers")
         if rows.shape != (self.n, self.n):
             raise ValueError(f"routing table rows have shape {rows.shape}, need ({self.n}, {self.n})")
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n):
+            raise ValueError(f"routing table names a vertex outside [0, {self.n})")
+        rows = rows.astype(np.int32)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 

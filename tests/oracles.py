@@ -6,9 +6,10 @@ The pattern builders make one tuple per flow, random pairs by one
 `randrange` call per endpoint; the table builders fill one Python list per
 source vertex; `evaluate` routes one flow at a time along its path, adding
 each hop's demand to a dict; `_best_swap` sorts each side's whole
-unlocked set by (-D, index) for every window it tries, and `kl_refine`
-calls it on every step and updates D by a whole adjacency-matrix row per
-moved vertex; `best_balanced_side` runs every restart and every perturbation
+unlocked set by (-D, index) and takes the first maximum of the dense gain
+matrix over the two orders, and `kl_refine` calls it on every step and
+updates D by a whole adjacency-matrix row per moved vertex;
+`best_balanced_side` runs every restart and every perturbation
 round, with no lower bound to stop at, and ranks a circulant's quotient-arc
 seed sides by cuts counted edge by edge;
 `cartesian_product`, `torus` and `hypercube` build products as a binary fold
@@ -28,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from circnet.combinatorics import successor_inplace, unrank_elements
-from circnet.metrics import _ILS_ROUNDS, _NOTHING_LEFT, _kl_refine, _WorkGraph
+from circnet.metrics import _ILS_ROUNDS, _kl_refine, _WorkGraph
 from circnet.routing import _first_hops_from_zero
 from circnet.search import _RangeState
 from circnet.topology import JumpSpacePlan, Topology, complete, mixed_radix, ring
@@ -211,38 +212,23 @@ def evaluate(t: Topology, rows, pattern: TrafficPattern) -> LoadReport:
     )
 
 
-def _window(avail: np.ndarray, D: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """The first k vertices of `avail` by (-D, index), in that order, and the
-    largest D left outside them (a sentinel when nothing is)."""
-    ordered = avail[np.lexsort((avail, -D[avail]))]
-    rest = int(D[ordered[k]]) if k < len(ordered) else _NOTHING_LEFT
-    return ordered[:k], rest
-
-
 def _best_swap(
     m: np.ndarray, D: np.ndarray, avail_a: np.ndarray, avail_b: np.ndarray
 ) -> tuple[int, int, int] | None:
     """Highest-gain pair u in avail_a, v in avail_b; gain = D[u] + D[v] - 2*m[u, v]
     with m the dense 0/1 adjacency matrix.
 
-    This is the definition `_GainBuckets.best` follows. Candidates come from
-    the top of each side by (-D, index) (`_window`); the window widens until
-    the best found provably dominates everything outside it (an edge only
-    lowers the gain). Ties break on the first pair in row-major order
-    over the sorted windows.
+    This is the definition `_GainBuckets.best` follows: each side sorted by
+    (-D, index), the dense gain matrix over the two orders, and its first
+    maximum in row-major order.
     """
     if len(avail_a) == 0 or len(avail_b) == 0:
         return None
-    t_width = 8
-    while True:
-        top_a, rest_a = _window(avail_a, D, min(t_width, len(avail_a)))
-        top_b, rest_b = _window(avail_b, D, min(t_width, len(avail_b)))
-        gains = D[top_a][:, None] + D[top_b] - 2 * m[top_a[:, None], top_b]
-        i, j = divmod(int(gains.argmax()), len(top_b))
-        gain = int(gains[i, j])
-        if gain >= rest_a + int(D[top_b[0]]) and gain >= int(D[top_a[0]]) + rest_b:
-            return int(top_a[i]), int(top_b[j]), gain
-        t_width *= 2
+    rows = avail_a[np.lexsort((avail_a, -D[avail_a]))]
+    cols = avail_b[np.lexsort((avail_b, -D[avail_b]))]
+    gains = D[rows][:, None] + D[cols] - 2 * m[rows[:, None], cols]
+    i, j = divmod(int(gains.argmax()), len(cols))
+    return int(rows[i]), int(cols[j]), int(gains[i, j])
 
 
 def kl_refine(t: Topology, side: np.ndarray) -> int:

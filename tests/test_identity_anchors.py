@@ -39,9 +39,8 @@ SIDE_SHA256 = {
 }
 
 # int8 side of _best_balanced_side(t, restarts, seed) at sizes where D ties
-# across the swap window's boundary often decide the pair: they go to the
-# lower index, so these sides are the same on every CPU, and a change to the
-# tie rule moves both.
+# often decide the swap pair: they go to the lower index, so these sides are
+# the same on every CPU, and a change to the tie rule moves both.
 TIE_SIDE_SHA256 = {
     ("circulant:512:1,15,56,149", 2, 0): "16f17ba52d1700e32422092cc708e530af22cb635b99ed9ea437bf379726af8b",
     ("circulant:1024:1,144,258,276", 2, 0): "45f92c8bc8c2700c671cc9700ad39e174d250d56fafb9e402c25730b5a3699b5",

@@ -187,3 +187,18 @@ class TestArrayTable:
     def test_shape_must_match_n(self):
         with pytest.raises(ValueError, match="shape"):
             RoutingTable(n=3, scheme="x", rows=[[0, 1], [0, 1]])
+
+    def test_entries_must_be_integers_in_range(self):
+        # An int32 copy would wrap 2**32 + 1 to 1 and truncate 1.5 to 1,
+        # and both tables would then route ring(4) as its own table does.
+        rows = route_table(ring(4)).rows.astype(np.int64)
+        wrapped = rows.copy()
+        wrapped[0, 1] = 2**32 + 1
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            RoutingTable(n=4, scheme="x", rows=wrapped)
+        with pytest.raises(ValueError, match="dtype float64"):
+            RoutingTable(n=4, scheme="x", rows=rows + 0.5)
+        beyond_int32 = rows.tolist()
+        beyond_int32[2][3] = 2**40
+        with pytest.raises(ValueError, match="outside"):
+            RoutingTable(n=4, scheme="x", rows=beyond_int32)
