@@ -10,7 +10,7 @@ circulant jump sets there are the search results for each (n, k); reading
 them spares hours of re-searching the large sizes (scripts/find_optima.py
 re-derives the small ones on demand).
 
-Runtime: 12-13 s on a 2-vCPU host (nproc 2) at the default 64 restarts,
+Runtime: 11.7-12.7 s on a 2-vCPU host (nproc 2) at the default 64 restarts,
 most of it the bisection heuristic on n >= 512.
 """
 

@@ -41,11 +41,8 @@ go below (the larger of a spectral and an all-to-all congestion bound): a
 cut that meets it is optimal. The floor equals the width of every torus
 with even dimensions, every hypercube, ring x K4 and complete graph, so
 those are solved by their first cut: at 64 restarts `hypercube:10` and `torus:8,8,4,4` take
-0.02 s instead of 6 s. On graphs small enough for the exact solver the
-heuristic stops at the exact width instead, which also ends the restarts
-of a product's 32-vertex factor seeds at the first one that reaches it. A
-cut is kept only on strict improvement, so the widths and sides are those
-of the unstopped solvers.
+0.02 s instead of 6 s. A cut is kept only on strict improvement, so the
+widths and sides are those of the unstopped solvers.
 
 From n = 128 up, a heuristic whose first restart misses that floor runs the
 other restarts on a process pool, taken in index order up to the first that
@@ -888,10 +885,8 @@ def _best_balanced_side(
     product's lifted factor sides, a circulant's `_quotient_seeds`) and from
     a random balanced side otherwise. Perturbation rounds stop once the
     restart's cut meets a floor, and restarts stop once the best cut does.
-    The floor is the width itself, from `bisection_exact`, when
-    `bisection_method` calls n "exact" (as for the 32-vertex factors of
-    the n = 128 product), and `bisection_lower_bound` otherwise; no cut
-    goes below either, so stopping there changes no cut and no side.
+    The floor is `bisection_lower_bound` for every n; no cut goes below it,
+    so stopping there changes no cut and no side.
     Restart 0 runs here. When it misses the floor and n >=
     `_POOL_MIN_N`, restarts 1.. run on min(workers, restarts - 1) processes
     (`workers` defaults to `available_cores()`; 1 runs them here in order).
@@ -903,7 +898,7 @@ def _best_balanced_side(
     n = t.n
     if n == 2:
         return len(t.adjacency[0]), np.array([0, 1], dtype=np.int8)
-    floor = bisection_exact(t) if bisection_method(n) == "exact" else bisection_lower_bound(t)
+    floor = bisection_lower_bound(t)
     seeds = _factor_lift_seeds(t, restarts, seed, workers) or _quotient_seeds(t)
     job = (_WorkGraph(t), seeds, seed, floor)
     runs = [_job_restart(job, 0)]

@@ -67,12 +67,13 @@ graphs/s at (255, 6), 345-540k at (257, 6) and 600-760k at (127, 8); at
 2.79e9 candidates take about 0.95-1.0 core-hours.
 
 Checkpoints are JSON lines, one `_RangeState` per range over the ranks of
-the scan plan; a resumed run continues each range from its cursor. A
-loaded checkpoint is not trusted: every field must have its JSON type
-(integral ranks, a boolean `reduced`), its total must be the scan plan's
-size, and every carried candidate must lie in one of the scan plan's parts
-(hold its g and draw its other free jumps from that part's ground) and
-re-measure to its range's best.
+the scan plan; a resumed run continues each range from its cursor. They
+are keyed by (n, k) and the scan plan's size alone, so a search resumes
+with or without `--full-space` (`reduced` acts only after the merge). A
+loaded checkpoint is not trusted: every rank must be a JSON integer, its
+total must be the scan plan's size, and every carried candidate must lie
+in one of the scan plan's parts (hold its g and draw its other free jumps
+from that part's ground) and re-measure to its range's best.
 """
 
 from __future__ import annotations
@@ -438,8 +439,7 @@ def merge(results: list[SearchResult]) -> SearchResult:
 
 
 def save_checkpoint(
-    path: str | Path, n: int, k: int, reduced: bool, total: int,
-    states: list[_RangeState],
+    path: str | Path, n: int, k: int, total: int, states: list[_RangeState]
 ) -> None:
     """Atomically write the per-range cursors and running bests. The temporary
     file is fsynced before it replaces `path`, so a power loss cannot leave
@@ -451,7 +451,6 @@ def save_checkpoint(
                 {
                     "n": n,
                     "k": k,
-                    "reduced": reduced,
                     "total": total,
                     "range": {"start": st.rank_range.start, "end": st.rank_range.end},
                     "cursor_rank": st.cursor,
@@ -492,19 +491,20 @@ def _verify_state(st: _RangeState, n: int, plan: _ScanPlan) -> None:
             )
 
 
-def load_checkpoint(
-    path: str | Path, n: int, k: int, reduced: bool, total: int
-) -> list[_RangeState]:
-    """Parse and validate a checkpoint for the given search; raises
+def load_checkpoint(path: str | Path, n: int, k: int) -> list[_RangeState]:
+    """Parse and validate a checkpoint for the (n, k) search; raises
     CheckpointError on any corruption or mismatch.
 
     The ranges tile the ranks of the search's scan plan (`_scan_plan`), and
-    `total` is that plan's size. A parseable checkpoint is not trusted: n,
-    k, total, the range bounds and the cursor must be JSON integers and
-    `reduced` a boolean, and every carried candidate must be a jump set of
-    one of the scan plan's parts and is re-measured with the scan kernel (see
-    `_verify_state`).
+    `total` is that plan's size, the same for the reduced and the full
+    space; a `reduced` key, which older checkpoints carry, is ignored. A
+    parseable checkpoint is not trusted: n, k, total, the range bounds and
+    the cursor must be JSON integers, and every carried candidate must be a
+    jump set of one of the scan plan's parts and is re-measured with the
+    scan kernel (see `_verify_state`).
     """
+    plan = _scan_plan(n, jump_space(n, k))
+    total = plan.size
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -519,16 +519,14 @@ def load_checkpoint(
                 rec["n"], rec["k"], rec["total"],
                 rec["range"]["start"], rec["range"]["end"], rec["cursor_rank"],
             )
-            if not all(type(x) is int for x in ranks) or type(rec["reduced"]) is not bool:
+            if not all(type(x) is int for x in ranks):
                 raise CheckpointError(
-                    "checkpoint ranks must be integers and 'reduced' a boolean: "
-                    f"{line.strip()[:200]}"
+                    f"checkpoint ranks must be integers: {line.strip()[:200]}"
                 )
-            if (rec["n"], rec["k"], rec["reduced"], rec["total"]) != (n, k, reduced, total):
+            if (rec["n"], rec["k"], rec["total"]) != (n, k, total):
                 raise CheckpointError(
-                    f"checkpoint is for (n={rec['n']}, k={rec['k']}, "
-                    f"reduced={rec['reduced']}, total={rec['total']}), "
-                    f"not (n={n}, k={k}, reduced={reduced}, total={total}); "
+                    f"checkpoint is for (n={rec['n']}, k={rec['k']}, total={rec['total']}), "
+                    f"not (n={n}, k={k}, total={total}); "
                     "totals count the ranks of the scan plan: one part per value g "
                     "of gcd(s, n), jump g pinned, g = 1 first"
                 )
@@ -567,7 +565,6 @@ def load_checkpoint(
         pos = st.rank_range.end
     if pos != total:
         raise CheckpointError("checkpoint ranges do not cover the space")
-    plan = _scan_plan(n, jump_space(n, k, reduced))
     for st in states:
         _verify_state(st, n, plan)
     return states
@@ -586,9 +583,7 @@ def _run_states(
 
     def checkpoint() -> None:
         if config.checkpoint_path is not None:
-            save_checkpoint(
-                config.checkpoint_path, n, k, config.reduced, plan.size, states
-            )
+            save_checkpoint(config.checkpoint_path, n, k, plan.size, states)
 
     def chunk_end(st: _RangeState) -> int:
         return min(st.cursor + config.checkpoint_every, st.rank_range.end)
@@ -641,10 +636,9 @@ def run_search(
     plan = jump_space(n, k, config.reduced)
     scan = _scan_plan(n, plan)
 
-    states: list[_RangeState] | None = None
     if config.checkpoint_path is not None and Path(config.checkpoint_path).exists():
-        states = load_checkpoint(config.checkpoint_path, n, k, config.reduced, scan.size)
-    if states is None:
+        states = load_checkpoint(config.checkpoint_path, n, k)
+    else:
         ranges = partition_ranks(scan.size, config.resolved_workers())
         states = [_RangeState(rank_range=r, cursor=r.start) for r in ranges]
 

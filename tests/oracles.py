@@ -15,13 +15,16 @@ seed sides by cuts counted edge by edge;
 `cartesian_product`, `torus` and `hypercube` build products as a binary fold
 with (u, v) -> u * b.n + v arithmetic of their own;
 `circulant_distance_profile` expands each BFS frontier by two shifts per
-jump, with no ball cache; and `scan_chunk` measures every candidate of a
-rank range in co-lex order, with no group floor.
+jump, with no ball cache; `bfs_profile_oracle` runs a queue BFS over an
+explicit adjacency; and `scan_chunk` measures every candidate of a rank
+range in co-lex order, with no group floor. `printed_tables` builds the
+ratio tables from the published property-table values.
 """
 
 import math
 import random
 import time
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable
@@ -30,10 +33,12 @@ import numpy as np
 
 from circnet.combinatorics import successor_inplace, unrank_elements
 from circnet.metrics import _ILS_ROUNDS, _kl_refine, _WorkGraph
+from circnet.report import TableEntry, build_table
 from circnet.routing import _first_hops_from_zero
 from circnet.search import _RangeState
 from circnet.topology import JumpSpacePlan, Topology, complete, mixed_radix, ring
 from circnet.traffic import LoadReport, TrafficPattern
+from reference_data import PROPERTY_TABLE
 
 
 def circulant_distance_profile(
@@ -81,6 +86,38 @@ def circulant_distance_profile(
             return d, total
         unvisited ^= new
         frontier = new
+
+
+def bfs_profile_oracle(n, jumps):
+    """(diameter, dist sum) by deque BFS on explicit adjacency, or None."""
+    adj = [set() for _ in range(n)]
+    for i in range(n):
+        for s in jumps:
+            adj[i].add((i + s) % n)
+            adj[i].add((i - s) % n)
+    dist = {0: 0}
+    q = deque([0])
+    while q:
+        u = q.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                q.append(w)
+    if len(dist) != n:
+        return None
+    return max(dist.values()), sum(dist.values())
+
+
+def printed_tables():
+    """One ComparisonRow table per graph size, built from the printed values."""
+    tables = []
+    for n in sorted(PROPERTY_TABLE):
+        records = [
+            (row.label, TableEntry(n, row.k, row.diameter, row.mpl, row.bisection))
+            for row in PROPERTY_TABLE[n]
+        ]
+        tables.append(build_table(records, "torus"))
+    return tables
 
 
 def scan_chunk(n: int, plan: JumpSpacePlan, st: _RangeState, end: int) -> _RangeState:

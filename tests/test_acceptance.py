@@ -7,10 +7,10 @@ Fast tier runs by default; multi-minute searches carry the `slow` marker
 
 import itertools
 import random
-from collections import deque
 
 import pytest
 
+import oracles
 from circnet.cli import parse_spec
 from circnet.combinatorics import colex_next, rank, space_size, unrank
 from circnet.metrics import (
@@ -19,7 +19,7 @@ from circnet.metrics import (
     bisection_heuristic,
     diameter_mpl,
 )
-from circnet.report import TableEntry, average_ratios, build_table, percent_reduction
+from circnet.report import average_ratios, percent_reduction
 from circnet.routing import path, route_table
 from circnet.search import (
     RankRange,
@@ -142,20 +142,9 @@ def test_circulant_widths_at_several_seeds(row, seed):
     assert bisection_heuristic(parse_spec(row.spec), 64, seed) == row.bisection
 
 
-def _printed_tables():
-    tables = []
-    for n in sorted(PROPERTY_TABLE):
-        records = [
-            (row.label, TableEntry(n, row.k, row.diameter, row.mpl, row.bisection))
-            for row in PROPERTY_TABLE[n]
-        ]
-        tables.append(build_table(records, "torus"))
-    return tables
-
-
 # headline ratio averages from the printed table
 def test_headline_low_degree_and_product_averages():
-    tables = _printed_tables()
+    tables = oracles.printed_tables()
     d_low, mpl_low, _ = average_ratios(tables, "oc-low")
     d_prod, mpl_prod, _ = average_ratios(tables, "product")
     assert abs(float(d_low) - HEADLINE_D_INV_OC_LOW) <= 0.01
@@ -165,7 +154,7 @@ def test_headline_low_degree_and_product_averages():
 
 
 def test_headline_high_degree_reductions():
-    tables = _printed_tables()
+    tables = oracles.printed_tables()
     d_high, mpl_high, _ = average_ratios(tables, "oc-high")
     assert abs(percent_reduction(d_high) - HEADLINE_D_REDUCTION_OC_HIGH) <= 1.0
     assert abs(percent_reduction(mpl_high) - HEADLINE_MPL_REDUCTION_OC_HIGH) <= 1.0
@@ -178,7 +167,7 @@ def test_headline_bw_increase_oc_high():
     # is an erratum that no correct table can reach (see reference_data); it
     # must stay out of reach by more than the tolerance, or the erratum needs
     # another look.
-    tables = _printed_tables()
+    tables = oracles.printed_tables()
     _, _, bw_high = average_ratios(tables, "oc-high")
     target_ratio = 1.0 + HEADLINE_BW_INCREASE_OC_HIGH / 100.0
     assert abs(float(bw_high) - target_ratio) <= 0.01, (
@@ -193,25 +182,6 @@ def test_headline_bw_increase_oc_high():
 
 
 # full agreement with the nested-loop enumeration oracle
-def bfs_profile_oracle(n, jumps):
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for s in jumps:
-            adj[i].add((i + s) % n)
-            adj[i].add((i - s) % n)
-    dist = {0: 0}
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    if len(dist) != n:
-        return None
-    return max(dist.values()), sum(dist.values())
-
-
 def enumeration_oracle(n, k):
     r = k // 2
     fixed = (n // 2,) if k % 2 else ()
@@ -219,7 +189,7 @@ def enumeration_oracle(n, k):
     ties = []
     for combo in itertools.combinations(range(1, (n - 1) // 2 + 1), r):
         jumps = tuple(sorted(fixed + combo))
-        profile = bfs_profile_oracle(n, jumps)
+        profile = oracles.bfs_profile_oracle(n, jumps)
         if profile is None:
             continue
         if best is None or profile < best:
@@ -274,7 +244,7 @@ def test_determinism_worker_matrix_and_resume(tmp_path):
             )
         )
     ck = tmp_path / "ck.jsonl"
-    save_checkpoint(ck, 64, 6, True, total, states)
+    save_checkpoint(ck, 64, 6, total, states)
     records, merged = run_search(64, 6, SearchConfig(workers=4, checkpoint_path=ck))
     assert merged.scanned == total
     resumed = tmp_path / "resumed.jsonl"

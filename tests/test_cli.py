@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circnet import cli, metrics, search
+from circnet.report import CSV_HEADER
 from circnet.cli import (
     EXIT_CHECKPOINT,
     EXIT_INFEASIBLE,
@@ -177,6 +178,11 @@ class TestTrafficCommand:
     def test_bad_pattern(self):
         assert main(["traffic", "ring:8", "--pattern", "sweep:2"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("pattern", ["random:x", "random:0", "shift:8"])
+    def test_bad_pattern_argument(self, pattern, capsys):
+        assert main(["traffic", "ring:8", "--pattern", pattern]) == EXIT_USAGE
+        assert f"bad pattern spec {pattern!r}" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_csv_n32(self, capsys):
@@ -195,6 +201,31 @@ class TestCompareCommand:
         row = next(ln for ln in lines if ln.startswith("32,4,circulant:32:1,7"))
         assert row.endswith("1.50,1.14,2.00")
 
+    def test_json_n32(self, capsys):
+        rc = main(
+            [
+                "compare",
+                "circulant:32:1,7",
+                "hypercube:5",
+                "--baseline",
+                "torus:8,4",
+                "--format",
+                "json",
+            ]
+        )
+        assert rc == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert sorted(row["label"] for row in rows) == [
+            "circulant:32:1,7", "hypercube:5", "torus:8,4"
+        ]
+        assert all(sorted(row) == sorted(CSV_HEADER.split(",")) for row in rows)
+        row = next(row for row in rows if row["label"] == "circulant:32:1,7")
+        assert (row["n"], row["k"], row["D"], row["BW"]) == (32, 4, 4, 16)
+        # MPL and the ratios are rounded to two decimals, as in the CSV
+        assert (row["MPL"], row["d_inv"], row["mpl_inv"], row["bw_ratio"]) == (
+            2.71, 1.5, 1.14, 2.0
+        )
+
     def test_mixed_sizes_rejected(self):
         rc = main(["compare", "ring:8", "--baseline", "torus:8,4"])
         assert rc == EXIT_INFEASIBLE
@@ -204,6 +235,12 @@ class TestGenerateAndRoute:
     def test_generate_edge_list(self, capsys):
         assert main(["generate", "ring:4"]) == EXIT_OK
         assert capsys.readouterr().out == "0 1\n0 3\n1 2\n2 3\n"
+
+    def test_generate_descriptor_to_stderr(self, capsys):
+        assert main(["generate", "ring:4", "--descriptor"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == "0 1\n0 3\n1 2\n2 3\n"
+        assert json.loads(captured.err) == {"kind": "ring", "n": 4, "params": {"n": 4}}
 
     def test_generate_to_file(self, tmp_path):
         out = tmp_path / "edges.txt"

@@ -803,9 +803,9 @@ class TestBisectionHeuristic:
             assert bisection_heuristic(t, restarts=16, seed=0) == bisection_exact(t)
 
     @pytest.mark.parametrize("spec, width", [("circulant:32:1,12", 14), ("circulant:32:1,7", 16)])
-    def test_stops_at_the_exact_width_above_the_floor(self, spec, width):
-        # the spectral floor is below the width, so only the exact width
-        # stops the restarts early; the full restart loop picks the same cut
+    def test_floor_below_the_width_keeps_the_full_loops_side(self, spec, width):
+        # the spectral floor is below the width, so no restart stops early;
+        # the full restart loop picks the same cut and side
         t = parse_spec(spec)
         assert bisection_lower_bound(t) < width == bisection_exact(t)
         assert bisection_heuristic(t, restarts=16, seed=0) == width
@@ -815,13 +815,28 @@ class TestBisectionHeuristic:
 
     @given(st_graph, st.integers(0, 3))
     @example((16, 0.25, 6), 0)  # restart 0 reaches 5 before restart 1 reaches the width 4
-    def test_exact_floor_keeps_the_full_loops_side(self, params, seed):
+    def test_random_graphs_keep_the_full_loops_side(self, params, seed):
         n, p, graph_seed = params
         assume(n % 2 == 0)
         t = random_graph(random.Random(graph_seed), n, p)
         cut, side = _best_balanced_side(t, 4, seed)
         want_cut, want_side = oracles.best_balanced_side(t, 4, seed)
         assert (cut, side.tobytes()) == (want_cut, want_side.tobytes())
+
+    def test_floor_needs_no_exact_solve(self, monkeypatch):
+        # the floor is `bisection_lower_bound` for every n: neither a
+        # product's 32-vertex factor nor a 32-vertex circulant is solved
+        # exactly inside the heuristic
+        def no_exact(*args, **kwargs):
+            raise AssertionError("the heuristic ran the exact solver")
+
+        monkeypatch.setattr(metrics, "bisection_exact", no_exact)
+        t = parse_spec("product:circulant:32:1,7*complete:4")
+        cut, side = _best_balanced_side(t, 4, 0, 1)
+        want_cut, want_side = oracles.best_balanced_side(t, 4, 0)
+        assert (cut, side.tobytes()) == (want_cut, want_side.tobytes())
+        t = parse_spec("circulant:32:1,12")
+        assert bisection_heuristic(t, restarts=4) == oracles.best_balanced_side(t, 4, 0)[0]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_unseeded_restarts_match_the_full_loop(self, seed):
@@ -988,13 +1003,15 @@ class TestBisectionLowerBound:
 
     # (spec, restarts, seed); the bound is met by the first cut on the tori,
     # hypercube and products, after a few rounds or restarts on the rings,
-    # and never on the circulants and the circulant product.
+    # and never on the circulants, the circulant product and ring:9 x K4
+    # (whose odd factor lifts no seed side).
     ORACLE_CASES = [
         ("hypercube:6", 16, 1),
         ("torus:8,4,4", 8, 2),
         ("torus:6,4", 8, 3),
         ("product:ring:8*complete:4", 8, 0),
         ("product:ring:6*complete:2", 8, 0),
+        ("product:ring:9*complete:4", 8, 0),
         ("ring:64", 4, 1),
         ("ring:100", 4, 0),
         ("circulant:64:1,14", 8, 0),

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from circnet.report import (
     TableEntry,
     average_ratios,
@@ -18,31 +19,19 @@ from circnet.report import (
 from reference_data import PROPERTY_TABLE
 
 
-def printed_tables():
-    """One ComparisonRow table per graph size, built from the printed values."""
-    tables = []
-    for n in sorted(PROPERTY_TABLE):
-        records = [
-            (row.label, TableEntry(n, row.k, row.diameter, row.mpl, row.bisection))
-            for row in PROPERTY_TABLE[n]
-        ]
-        tables.append(build_table(records, "torus"))
-    return tables
-
-
 class TestBuildTable:
     def test_diameter_inverse_ratio(self):
-        table = printed_tables()[0]  # n=32
+        table = oracles.printed_tables()[0]  # n=32
         row = next(r for r in table if r.label == "oc-low")
         assert row.d_inv == Fraction(6, 4) and float(row.d_inv) == 1.50
 
     def test_baseline_row_is_unity(self):
-        for table in printed_tables():
+        for table in oracles.printed_tables():
             base = next(r for r in table if r.label == "torus")
             assert (base.d_inv, base.mpl_inv, base.bw_ratio) == (1, 1, 1)
 
     def test_bw_ratio(self):
-        table = printed_tables()[0]
+        table = oracles.printed_tables()[0]
         row = next(r for r in table if r.label == "hypercube")
         assert row.bw_ratio == Fraction(16, 8) == 2
 
@@ -72,24 +61,24 @@ class TestBuildTable:
 
 class TestAverages:
     def test_low_degree_diameter_inverse(self):
-        d_inv, _, _ = average_ratios(printed_tables(), "oc-low")
+        d_inv, _, _ = average_ratios(oracles.printed_tables(), "oc-low")
         assert abs(float(d_inv) - 1.58) <= 0.01
 
     def test_product_diameter_inverse(self):
-        d_inv, _, _ = average_ratios(printed_tables(), "product")
+        d_inv, _, _ = average_ratios(oracles.printed_tables(), "product")
         assert abs(float(d_inv) - 1.68) <= 0.01
 
     def test_low_degree_mpl_inverse(self):
-        _, mpl_inv, _ = average_ratios(printed_tables(), "oc-low")
+        _, mpl_inv, _ = average_ratios(oracles.printed_tables(), "oc-low")
         assert abs(float(mpl_inv) - 1.18) <= 0.01
 
     def test_product_mpl_inverse(self):
-        _, mpl_inv, _ = average_ratios(printed_tables(), "product")
+        _, mpl_inv, _ = average_ratios(oracles.printed_tables(), "product")
         assert abs(float(mpl_inv) - 1.24) <= 0.01
 
     def test_high_degree_bw_average_frozen(self):
         # exact value of the published table's high-degree BW ratio average
-        _, _, bw = average_ratios(printed_tables(), "oc-high")
+        _, _, bw = average_ratios(oracles.printed_tables(), "oc-high")
         assert bw == Fraction(2.5) / 6 + Fraction(3) / 6 + Fraction(25, 8) / 6 + Fraction(
             234, 64
         ) / 6 + Fraction(472, 128) / 6 + Fraction(1036, 256) / 6
@@ -97,7 +86,7 @@ class TestAverages:
 
     def test_missing_label(self):
         with pytest.raises(ValueError):
-            average_ratios(printed_tables(), "nonexistent")
+            average_ratios(oracles.printed_tables(), "nonexistent")
 
 
 class TestPercentHelpers:
@@ -110,7 +99,7 @@ class TestPercentHelpers:
 
 class TestRendering:
     def test_csv_header_and_rounding(self):
-        table = printed_tables()[0]
+        table = oracles.printed_tables()[0]
         text = to_csv(table)
         lines = text.splitlines()
         assert lines[0] == "n,k,label,D,MPL,BW,d_inv,mpl_inv,bw_ratio"
@@ -120,7 +109,7 @@ class TestRendering:
     def test_json_round_trip(self):
         import json
 
-        rows = json.loads(to_json(printed_tables()[0]))
+        rows = json.loads(to_json(oracles.printed_tables()[0]))
         assert len(rows) == 5
         assert {r["label"] for r in rows} == {
             "torus", "oc-low", "oc-high", "product", "hypercube",
@@ -158,7 +147,7 @@ RENDER_SHA256 = {
 
 @pytest.mark.parametrize("index", range(len(RENDER_SHA256)))
 def test_rendered_tables_digest(index):
-    table = printed_tables()[index]
+    table = oracles.printed_tables()[index]
     csv_sha, json_sha = RENDER_SHA256[table[0].n]
     assert hashlib.sha256(to_csv(table).encode()).hexdigest() == csv_sha
     assert hashlib.sha256(to_json(table).encode()).hexdigest() == json_sha

@@ -12,8 +12,8 @@ import multiprocessing
 import os
 import tempfile
 import time
-from collections import deque
 from concurrent.futures import Future
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -43,26 +43,6 @@ from circnet.search import (
 from circnet.topology import JumpSet, adam_multiply, circulant, jump_space, unit_image
 
 
-def bfs_profile_oracle(n, jumps):
-    """(diameter, dist sum) by deque BFS on explicit adjacency, or None."""
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for s in jumps:
-            adj[i].add((i + s) % n)
-            adj[i].add((i - s) % n)
-    dist = {0: 0}
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    if len(dist) != n:
-        return None
-    return max(dist.values()), sum(dist.values())
-
-
 def all_jump_sets(n, k):
     """Every degree-k jump set on n vertices, by nested enumeration."""
     r = k // 2
@@ -78,7 +58,7 @@ def enumeration_oracle(n, k, exact_limit=32):
     best = None
     ties = []
     for jumps in all_jump_sets(n, k):
-        profile = bfs_profile_oracle(n, jumps)
+        profile = oracles.bfs_profile_oracle(n, jumps)
         if profile is None:
             continue
         if best is None or profile < best:
@@ -158,7 +138,7 @@ class TestScanRange:
             res = scan_range(20, 4, RankRange(0, count_space(20, 4, False)), reduced=False)
             break
         oracle_best = min(
-            p for j in all_jump_sets(20, 4) if (p := bfs_profile_oracle(20, j))
+            p for j in all_jump_sets(20, 4) if (p := oracles.bfs_profile_oracle(20, j))
         )
         assert (res.best_diameter, res.best_dist_sum) == oracle_best
 
@@ -666,7 +646,7 @@ def _forged(tmp_path, best_d, best_s, candidates):
         candidates=candidates,
     )
     ck = tmp_path / "ck.jsonl"
-    save_checkpoint(ck, 32, 4, True, total, [state])
+    save_checkpoint(ck, 32, 4, total, [state])
     return ck
 
 
@@ -687,7 +667,7 @@ class TestPinnedCheckpoint:
         # A one-range checkpoint of the full space, walked up to rank 400.
         walked = search._scan_chunk(37, plan, _RangeState(RankRange(0, 816), 0), 400)
         stale = tmp_path / "full.jsonl"
-        save_checkpoint(stale, 37, 6, True, 816, [walked])
+        save_checkpoint(stale, 37, 6, 816, [walked])
         stale_bytes = stale.read_bytes()
 
         real_scan = search._scan_chunk
@@ -721,7 +701,7 @@ class TestPinnedCheckpoint:
         monkeypatch.setattr(search, "_scan_chunk", stop_after_five)
         with pytest.raises(_Interrupted):
             run_search(37, 6, config)
-        (state,) = load_checkpoint(ck, 37, 6, True, 136)
+        (state,) = load_checkpoint(ck, 37, 6)
         assert state.cursor == 50 and state.candidates
         assert all(1 in c for c in state.candidates)
         monkeypatch.setattr(search, "_scan_chunk", real_scan)
@@ -736,7 +716,7 @@ class TestPinnedCheckpoint:
         forged = _RangeState(
             RankRange(0, 136), 136, merged.best_diameter, merged.best_dist_sum, [unpinned]
         )
-        save_checkpoint(ck, 37, 6, True, 136, [forged])
+        save_checkpoint(ck, 37, 6, 136, [forged])
         with pytest.raises(CheckpointError, match="not in the search space"):
             run_search(37, 6, config)
 
@@ -775,7 +755,7 @@ class TestUnitFreeCheckpoint:
         plan = jump_space(35, 6)
         walked = search._scan_chunk(35, plan, _RangeState(RankRange(0, 680), 0), 400)
         stale = tmp_path / "full.jsonl"
-        save_checkpoint(stale, 35, 6, True, 680, [walked])
+        save_checkpoint(stale, 35, 6, 680, [walked])
         self._assert_refused(stale, 680, monkeypatch, capsys)
 
     def test_two_part_checkpoint_refused(self, tmp_path, monkeypatch, capsys):
@@ -790,7 +770,7 @@ class TestUnitFreeCheckpoint:
         walked = search._scan_chunk(35, two_part, _RangeState(RankRange(0, 130), 0), 130)
         assert walked.candidates
         stale = tmp_path / "two_part.jsonl"
-        save_checkpoint(stale, 35, 6, True, 130, [walked])
+        save_checkpoint(stale, 35, 6, 130, [walked])
         self._assert_refused(stale, 130, monkeypatch, capsys)
 
     def test_interrupted_across_both_parts_resumes(self, tmp_path, monkeypatch):
@@ -814,7 +794,7 @@ class TestUnitFreeCheckpoint:
         monkeypatch.setattr(search, "_scan_chunk", stop_at_fourth)
         with pytest.raises(_Interrupted):
             run_search(35, 6, config)
-        states = load_checkpoint(ck, 35, 6, True, 126)
+        states = load_checkpoint(ck, 35, 6)
         assert [st_.cursor for st_ in states] == [60, 123]
         assert all(st_.candidates for st_ in states)
         monkeypatch.setattr(search, "_scan_chunk", real_scan)
@@ -833,7 +813,7 @@ class TestUnitFreeCheckpoint:
         )
         ck = tmp_path / "ck.jsonl"
         forged = _RangeState(RankRange(0, 126), 126, *best, [stray])
-        save_checkpoint(ck, 35, 6, True, 126, [forged])
+        save_checkpoint(ck, 35, 6, 126, [forged])
         with pytest.raises(CheckpointError, match="not in the search space"):
             run_search(35, 6, SearchConfig(workers=1, checkpoint_path=ck))
 
@@ -844,9 +824,44 @@ class TestUnitFreeCheckpoint:
         best = (merged.best_diameter, merged.best_dist_sum)
         ck = tmp_path / "ck.jsonl"
         carried = _RangeState(RankRange(0, 16), 16, *best, [(3, 5, 6)])
-        save_checkpoint(ck, 15, 6, True, 16, [carried])
-        (state,) = load_checkpoint(ck, 15, 6, True, 16)
+        save_checkpoint(ck, 15, 6, 16, [carried])
+        (state,) = load_checkpoint(ck, 15, 6)
         assert state.candidates == [(3, 5, 6)]
+
+
+class TestCheckpointAcrossFullSpace:
+    """The scan plan depends on (n, k) alone, and `reduced` (`--full-space`
+    off) only filters the ties after the merge, so a checkpoint written with
+    one setting resumes under the other, to the results and `scanned` of a
+    fresh run under the resuming one."""
+
+    @pytest.mark.parametrize("written", [True, False])
+    @pytest.mark.parametrize("n, k", [(32, 4), (35, 6)])
+    def test_partial_checkpoint_resumes_under_the_other_setting(
+        self, n, k, written, tmp_path, monkeypatch
+    ):
+        real_scan = search._scan_chunk
+        calls = 0
+
+        def stop_after_one(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 1:
+                raise _Interrupted
+            return real_scan(*args)
+
+        ck = tmp_path / "ck.jsonl"
+        config = SearchConfig(workers=1, checkpoint_every=5, checkpoint_path=ck)
+        monkeypatch.setattr(search, "_scan_chunk", stop_after_one)
+        with pytest.raises(_Interrupted):
+            run_search(n, k, replace(config, reduced=written))
+        (state,) = load_checkpoint(ck, n, k)
+        assert state.cursor == 5 and state.candidates
+        monkeypatch.setattr(search, "_scan_chunk", real_scan)
+        resumed, merged = run_search(n, k, replace(config, reduced=not written))
+        fresh, fresh_merged = run_search(n, k, SearchConfig(workers=1, reduced=not written))
+        assert _results_bytes(resumed) == _results_bytes(fresh)
+        assert merged.scanned == fresh_merged.scanned == count_space(n, k, not written)
 
 
 class TestCheckpointVerification:
@@ -958,7 +973,7 @@ class TestRecordsAreReMeasured:
 
 # The rank fields of a checkpoint line, as (key, nested key or None).
 _RANK_FIELDS = (
-    ("n", None), ("k", None), ("reduced", None), ("total", None),
+    ("n", None), ("k", None), ("total", None),
     ("range", "start"), ("range", "end"), ("cursor_rank", None),
 )
 
@@ -976,8 +991,20 @@ class TestCheckpointFieldTypes:
     def test_genuine_checkpoint_loads(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
         ck.write_text(_genuine_checkpoint())
-        states = load_checkpoint(ck, 32, 4, True, count_space(32, 4))
+        states = load_checkpoint(ck, 32, 4)
         assert states[0].cursor == count_space(32, 4)
+
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_reduced_key_of_older_checkpoints_ignored(self, tmp_path, reduced):
+        genuine = tmp_path / "ck.jsonl"
+        genuine.write_text(_genuine_checkpoint())
+        recs = [json.loads(line) for line in _genuine_checkpoint().splitlines()]
+        assert all("reduced" not in rec for rec in recs)
+        older = tmp_path / "older.jsonl"
+        older.write_text(
+            "".join(json.dumps({**rec, "reduced": reduced}, sort_keys=True) + "\n" for rec in recs)
+        )
+        assert load_checkpoint(older, 32, 4) == load_checkpoint(genuine, 32, 4)
 
     @given(
         field=st.sampled_from(_RANK_FIELDS),
@@ -1001,7 +1028,43 @@ class TestCheckpointFieldTypes:
             ck = Path(tmp) / "ck.jsonl"
             ck.write_text(json.dumps(rec, sort_keys=True) + "\n")
             with pytest.raises(CheckpointError):
-                load_checkpoint(ck, 32, 4, True, count_space(32, 4))
+                load_checkpoint(ck, 32, 4)
+
+
+def _one_range(start, end, cursor):
+    """Rewrites the one-range genuine checkpoint's range and cursor."""
+
+    def edit(text):
+        rec = json.loads(text)
+        rec["range"], rec["cursor_rank"] = {"start": start, "end": end}, cursor
+        return json.dumps(rec, sort_keys=True) + "\n"
+
+    return edit
+
+
+class TestCheckpointRefusals:
+    """Well-typed (32, 4) checkpoints whose ranges cannot be resumed: the
+    scan plan has 14 ranks, held by the genuine checkpoint in one range."""
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (_one_range(0, 14, 15), r"cursor 15 outside range"),
+            (lambda text: "\n  \n\n", "holds no ranges"),
+            (_one_range(1, 14, 14), r"do not tile \[0, total\)"),
+            (_one_range(0, 10, 10), "do not cover the space"),
+        ],
+        ids=["cursor-outside-range", "blank-lines", "not-tiling", "short-of-total"],
+    )
+    def test_refused(self, tmp_path, edit, match):
+        ck = tmp_path / "ck.jsonl"
+        ck.write_text(edit(_genuine_checkpoint()))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(ck, 32, 4)
+
+    def test_missing_path_refused(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            load_checkpoint(tmp_path / "absent.jsonl", 32, 4)
 
 
 # An `elapsed` key left out of a checkpoint line.
@@ -1020,7 +1083,7 @@ class TestCheckpointElapsed:
             rec["elapsed"] = value
         ck = tmp_path / "ck.jsonl"
         ck.write_text(json.dumps(rec, sort_keys=True) + "\n")
-        return load_checkpoint(ck, 32, 4, True, count_space(32, 4))
+        return load_checkpoint(ck, 32, 4)
 
     @pytest.mark.parametrize(
         "value",

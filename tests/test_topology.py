@@ -16,6 +16,7 @@ from circnet.cli import SpecError, format_spec
 from circnet.topology import (
     InfeasibleDegreeError,
     JumpSet,
+    Topology,
     adam_canonical,
     adam_multiply,
     cartesian_product,
@@ -70,6 +71,27 @@ class TestJumpSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             JumpSet(16, (3, 3))
+
+    def test_rejects_zero_vertices(self):
+        with pytest.raises(ValueError, match="vertex count must be positive"):
+            JumpSet(0, ())
+
+
+class TestTopologyValidation:
+    @pytest.mark.parametrize(
+        "n, adjacency, match",
+        [
+            (0, (), "empty topology"),
+            (3, ((1,), (0,)), "adjacency length"),
+            (2, ((1, 1), (0,)), "duplicate edges at vertex 0"),
+            (2, ((1, 2), (0,)), "neighbor 2 out of range at vertex 0"),
+            (2, ((0,), ()), "self-loop at vertex 0"),
+            (3, ((1, 2), (0,), ()), "edge 0->2 missing its reverse"),
+        ],
+    )
+    def test_malformed_adjacency_rejected(self, n, adjacency, match):
+        with pytest.raises(ValueError, match=match):
+            Topology(n=n, adjacency=adjacency)
 
 
 class TestCirculant:
