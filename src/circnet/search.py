@@ -32,17 +32,22 @@ pins jump 1 already, has the same scan plan as the full space. For
 g = 17, 51 and 85 hold only multiples of 17 and are dropped. The scan
 plan's best is the space's best, and the space's ties are the unit
 multiples of the scan plan's ties that lie in the requested plan;
-`_unit_closure` recovers them after the merge. The merged `scanned` counts
-every candidate of the requested space: those measured, those in skipped
-groups, and those that are unit multiples of a scanned one.
+`_unit_closure` recovers them after the merge (an image of a tie lies in
+the requested plan exactly when it holds that plan's fixed jumps). The
+merged `scanned` counts every candidate of the requested space: those
+measured, those in skipped groups, and those that are unit multiples of a
+scanned one.
 
-Survivors are grouped into unit-multiplication classes, and each class is
-measured once by `metrics.compute_metrics` on its canonical representative:
-an independent BFS re-measures the diameter and distance sum (a class that
-disagrees with the scan raises before anything is returned), and the
-bisection width comes from `metrics.bisection_method`'s policy (exact up to
-the configured limit, Kernighan-Lin above, none for odd n). Only the
-maximum-width ties are returned.
+Survivors are grouped into unit-multiplication classes by one walk of a
+unit orbit per class: the first tie of each class, in jump-set order, is
+canonicalised (`adam_canonical`), and every tie among its unit images
+joins its class. Each class is measured once by `metrics.compute_metrics`
+on its canonical representative: an independent BFS re-measures the
+diameter and distance sum (a class that disagrees with the scan raises
+before anything is returned), and the bisection width comes from
+`metrics.bisection_method`'s policy (exact up to the configured limit,
+Kernighan-Lin above, none for odd n). Only the maximum-width ties are
+returned.
 
 Hot path: each co-lex group is one call of the circulant BFS kernel,
 `metrics.circulant_group_profiles`, bounded by the running best. The
@@ -238,25 +243,38 @@ def _in_plan(plan: JumpSpacePlan | _GroundPlan, c: tuple) -> bool:
     )
 
 
+def _unit_multipliers(n: int) -> list[int]:
+    """The units u in [1, n/2]: u and n - u map every jump to the same class,
+    so these give every unit image of a jump set."""
+    return [u for u in range(1, n // 2 + 1) if math.gcd(u, n) == 1]
+
+
 def _unit_closure(
     n: int, plan: JumpSpacePlan, ties: list[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     """Every jump set of `plan` that is a unit multiple of a tie, sorted.
 
-    Each jump s maps to min(u*s mod n, n - u*s mod n) for each unit u; u and
-    n - u give the same image, so u runs over [1, n/2]. Unit multiples
-    generate isomorphic circulants, so every image ties. A tie already
-    reached as an image shares its orbit with an earlier tie and is not
-    multiplied again.
+    Each tie must itself be a jump set of `plan`, as every scanned and every
+    checkpointed tie is. Each jump s maps to min(u*s mod n, n - u*s mod n)
+    for each unit u in [1, n/2] (`_unit_multipliers`). Unit multiples
+    generate isomorphic circulants, so every image ties. A unit permutes
+    the jump classes of [1, n/2], so an image holds as many distinct jumps
+    as its tie, and it holds n/2 exactly when the tie does (u is odd for
+    even n). Its jumps outside `plan.fixed` therefore lie in the plan's
+    ground [lo, hi] as soon as it holds every fixed jump, which is the
+    whole membership test (`_in_plan` is kept for checkpoints, whose
+    candidates are untrusted). A tie already reached as an image shares
+    its orbit with an earlier tie and is not multiplied again.
     """
-    units = [u for u in range(1, n // 2 + 1) if math.gcd(u, n) == 1]
+    units = _unit_multipliers(n)
+    fixed = set(plan.fixed)
     out: set[tuple[int, ...]] = set()
     for c in ties:
         if c in out:
             continue
         for u in units:
             image = unit_image(n, c, u)
-            if _in_plan(plan, image):
+            if fixed <= set(image):
                 out.add(image)
     return sorted(out)
 
@@ -656,17 +674,24 @@ def run_search(
 def _optimal_records(
     n: int, k: int, merged: SearchResult, config: SearchConfig
 ) -> list[OptimalRecord]:
-    """The maximum-width records among the merged ties, sorted by jump set."""
-    # Every member of a unit-multiplication class is the same graph, so its
-    # metrics are measured once, by `compute_metrics` on the canonical
-    # representative. That BFS is independent of the scan kernel, and a class
-    # that does not re-measure to the merged best is never emitted.
+    """The maximum-width records among the merged ties, sorted by jump set.
+
+    Every member of a unit-multiplication class is the same graph, so its
+    metrics are measured once, by `compute_metrics` on the class's canonical
+    representative (`adam_canonical`). The first tie of each class, in
+    jump-set order, is canonicalised, and one walk of its unit orbit hands
+    those metrics to every other tie of the class. That BFS is independent
+    of the scan kernel, and a class that does not re-measure to the merged
+    best is never emitted.
+    """
     best = (merged.best_diameter, merged.best_dist_sum)
-    class_metrics: dict[tuple[int, ...], MetricsRecord] = {}
+    units = _unit_multipliers(n)
+    ties = {js.jumps for js in merged.candidates}
+    tie_metrics: dict[tuple[int, ...], MetricsRecord] = {}
     scored: list[tuple[MetricsRecord, JumpSet]] = []
     for js in merged.candidates:
-        rep = adam_canonical(js)
-        if rep.jumps not in class_metrics:
+        if js.jumps not in tie_metrics:
+            rep = adam_canonical(js)
             m = compute_metrics(
                 circulant(rep),
                 config.exact_bisection_limit,
@@ -679,8 +704,11 @@ def _optimal_records(
                     f"class {list(rep.jumps)} re-measures to ({m.diameter}, {m.dist_sum}),"
                     f" not the scanned best {best}"
                 )
-            class_metrics[rep.jumps] = m
-        scored.append((class_metrics[rep.jumps], js))
+            for u in units:
+                image = unit_image(n, js.jumps, u)
+                if image in ties:
+                    tie_metrics[image] = m
+        scored.append((tie_metrics[js.jumps], js))
     best_bw = max((m.bisection for m, _ in scored if m.bisection is not None), default=None)
     # merged.candidates is sorted by jump set, and so are the records
     return [OptimalRecord(n, k, js, m) for m, js in scored if m.bisection == best_bw]

@@ -239,10 +239,11 @@ def circulant(js: JumpSet) -> Topology:
     """Circulant graph: vertex i adjacent to (i +- s) mod n for each jump s;
     row i is vertex 0's row, the offsets {+-s mod n}, shifted by i."""
     n = js.n
-    row0 = {o for s in js.jumps for o in (s, -s % n)}
+    row0 = sorted({o for s in js.jumps for o in (s, -s % n)})
+    rows = np.sort((np.arange(n)[:, None] + row0) % n, axis=1)
     return Topology(
         n=n,
-        adjacency=tuple(tuple(sorted((i + o) % n for o in row0)) for i in range(n)),
+        adjacency=tuple(map(tuple, rows.tolist())),
         kind="circulant",
         params={"n": n, "jumps": list(js.jumps)},
         jumps=js,

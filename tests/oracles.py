@@ -19,6 +19,10 @@ jump, with no ball cache; `bfs_profile_oracle` runs a queue BFS over an
 explicit adjacency; and `scan_chunk` measures every candidate of a rank
 range in co-lex order, with no group floor. `printed_tables` builds the
 ratio tables from the published property-table values.
+`circulant_adjacency` sorts each row of a circulant by a comprehension of
+its own; `unit_closure` multiplies every tie by every unit in [1, n) and
+keeps the images `search._in_plan` accepts; and `optimal_records` calls
+`adam_canonical` once per tie.
 """
 
 import math
@@ -32,11 +36,14 @@ from typing import Iterable
 import numpy as np
 
 from circnet.combinatorics import successor_inplace, unrank_elements
-from circnet.metrics import _ILS_ROUNDS, _kl_refine, _WorkGraph
+from circnet.metrics import _ILS_ROUNDS, _kl_refine, _WorkGraph, compute_metrics
 from circnet.report import TableEntry, build_table
 from circnet.routing import _first_hops_from_zero
-from circnet.search import _RangeState
-from circnet.topology import JumpSpacePlan, Topology, complete, mixed_radix, ring
+from circnet.search import OptimalRecord, SearchConfig, SearchResult, _in_plan, _RangeState
+from circnet.topology import (
+    JumpSet, JumpSpacePlan, Topology, adam_canonical, circulant, complete, mixed_radix, ring,
+    unit_image,
+)
 from circnet.traffic import LoadReport, TrafficPattern
 from reference_data import PROPERTY_TABLE
 
@@ -447,3 +454,41 @@ def best_balanced_side(t: Topology, restarts: int, seed: int) -> tuple[int, np.n
         if best is None or run_best < best[0]:
             best = (run_best, run_side)
     return best
+
+
+def circulant_adjacency(js: JumpSet) -> tuple[tuple[int, ...], ...]:
+    """The adjacency of `topology.circulant(js)`, one sorted comprehension per
+    row: vertex 0's offsets {+-s mod n} shifted by i."""
+    n = js.n
+    row0 = {o for s in js.jumps for o in (s, -s % n)}
+    return tuple(tuple(sorted((i + o) % n for o in row0)) for i in range(n))
+
+
+def unit_closure(
+    n: int, plan: JumpSpacePlan, ties: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Every unit image of every tie, under every unit u in [1, n), that
+    `search._in_plan` accepts, sorted."""
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    images = {unit_image(n, c, u) for c in ties for u in units}
+    return sorted(c for c in images if _in_plan(plan, c))
+
+
+def optimal_records(
+    n: int, k: int, merged: SearchResult, config: SearchConfig, measure=compute_metrics
+) -> list[OptimalRecord]:
+    """`search._optimal_records` with one `adam_canonical` call per tie: each
+    class is measured by `measure` on the first tie that reaches its
+    representative."""
+    class_metrics = {}
+    scored = []
+    for js in merged.candidates:
+        rep = adam_canonical(js)
+        if rep.jumps not in class_metrics:
+            class_metrics[rep.jumps] = measure(
+                circulant(rep), config.exact_bisection_limit, config.restarts, config.seed,
+                workers=config.workers,
+            )
+        scored.append((class_metrics[rep.jumps], js))
+    best_bw = max((m.bisection for m, _ in scored if m.bisection is not None), default=None)
+    return [OptimalRecord(n, k, js, m) for m, js in scored if m.bisection == best_bw]

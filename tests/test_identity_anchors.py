@@ -32,7 +32,9 @@ SIDE_SHA256 = {
     ("torus:8,4,4", 3): "d8ad0501d31785e59870345e43108fc4c0f3fd3e0c106fd9fbd151f949d841fb",
     ("product:ring:8*complete:4", 0): "0e35a53871304db5962bedd5562462cf086ab5dd2fa0fdc00cf15902211feaa1",
     # exact-sized graphs and a product with an exact-sized factor: the
-    # restarts stop at the first cut that meets the exact width
+    # restarts stop only at a cut that meets `bisection_lower_bound`, and a
+    # cut replaces the kept one only when it is smaller, so the side is the
+    # first minimum by restart index whether they stop early or not
     ("product:circulant:32:1,7*complete:4", 0): "397fb081176d1abd96b321081b43bc528661a28ccadc9634f6555fb34a8a7165",
     ("circulant:32:1,12", 0): "055e145d4e624fe81c7828ac39444ee518349af1727a2cdf32f23bc919fd3094",
     ("circulant:32:1,7", 3): "809ddac298ce31b1ce380d216f5ccc7d94a0f8d6c0985c7561e0a5eda2148e12",

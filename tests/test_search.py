@@ -40,7 +40,9 @@ from circnet.search import (
     write_results,
     _RangeState,
 )
-from circnet.topology import JumpSet, adam_multiply, circulant, jump_space, unit_image
+from circnet.topology import (
+    JumpSet, adam_canonical, adam_multiply, circulant, jump_space, unit_image,
+)
 
 
 def all_jump_sets(n, k):
@@ -499,6 +501,106 @@ class TestUnitFreePlan:
         )
         assert merged.candidates == full.candidates
         assert _results_bytes(got) == _results_bytes(want)
+
+
+@st.composite
+def st_small_search_case(draw):
+    """(n, k, reduced): n from 4 to 48 and a feasible odd or even degree k
+    whose full space holds at most 1000 candidates."""
+    n = draw(st.integers(4, 48))
+    ks = [
+        k for k in range(3, n)
+        if (k % 2 == 0 or n % 2 == 0) and jump_space(n, k, False).size <= 1000
+    ]
+    return n, draw(st.sampled_from(ks)), draw(st.booleans())
+
+
+class TestOneCanonicalisationPerClass:
+    """`_optimal_records` calls `adam_canonical` on the first tie of each
+    unit-multiplication class only and finds the rest of the class by one
+    walk of that tie's unit orbit; the classes measured and the records must
+    be those of one `adam_canonical` call per tie (`oracles.optimal_records`)."""
+
+    @pytest.mark.parametrize("n, k, ties, calls", [(127, 8, 315, 5), (257, 6, 128, 1)])
+    def test_calls_per_class(self, n, k, ties, calls, monkeypatch):
+        seen = []
+
+        def spy(js):
+            seen.append(js)
+            return adam_canonical(js)
+
+        monkeypatch.setattr(search, "adam_canonical", spy)
+        _, merged = run_search(n, k, SearchConfig(workers=1))
+        assert (len(merged.candidates), len(seen)) == (ties, calls)
+
+    @given(st_small_search_case())
+    # (3, 5, 6) is one of the 31 ties at (15, 6) and holds no unit
+    @example((15, 6, True))
+    @example((32, 4, False))
+    # reduced powers of two: jump 1 pinned, and jump 32 as well at odd k
+    @example((32, 4, True))
+    @example((64, 7, True))
+    def test_matches_per_tie_canonicalisation(self, case):
+        n, k, reduced = case
+        config = SearchConfig(workers=1, reduced=reduced, restarts=1, exact_bisection_limit=16)
+        measured = []
+
+        def spy(t, *args, **kwargs):
+            measured.append(t.jumps)
+            return _remembered_metrics(t, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "compute_metrics", spy)
+            got, merged = run_search(n, k, config)
+        assert len(set(measured)) == len(measured)
+        assert set(measured) == {adam_canonical(js) for js in merged.candidates}
+        want = oracles.optimal_records(n, k, merged, config, _remembered_metrics)
+        assert _results_bytes(got) == _results_bytes(want)
+
+
+@lru_cache(maxsize=None)
+def _full_space_ties(n, k):
+    """The ties of a whole-range scan of the (n, k) full space."""
+    scan = scan_range(n, k, RankRange(0, count_space(n, k, False)), reduced=False)
+    return tuple(js.jumps for js in scan.candidates)
+
+
+@st.composite
+def st_closure_case(draw):
+    """(n, k, reduced, picks): n from 4 to 64, a feasible odd or even degree
+    k up to 10 whose full space holds at most 1000 candidates, and indices
+    that pick ties of the full-space scan lying in the requested plan."""
+    n = draw(st.integers(4, 64))
+    ks = [
+        k for k in range(3, min(n, 11))
+        if (k % 2 == 0 or n % 2 == 0) and jump_space(n, k, False).size <= 1000
+    ]
+    k = draw(st.sampled_from(ks))
+    picks = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6))
+    return n, k, draw(st.booleans()), picks
+
+
+class TestUnitClosure:
+    """`_unit_closure` keeps every unit image of a tie that holds the plan's
+    fixed jumps; for ties that lie in the plan that is every image
+    `_in_plan` accepts (`oracles.unit_closure`)."""
+
+    @given(st_closure_case())
+    # powers of two: jump 1 pinned when reduced (lo = 2), free otherwise
+    @example((16, 4, True, [0, 1]))
+    @example((16, 4, False, [0]))
+    # odd degree: jump n/2 fixed, beside jump 1 when reduced
+    @example((32, 5, True, [0, 2]))
+    @example((18, 5, False, [1]))
+    # odd and even composite n; (3, 5, 6) at (15, 6) holds no unit
+    @example((15, 6, False, [0, 3, 7]))
+    @example((36, 4, True, [0, 5]))
+    def test_matches_in_plan_filter(self, case):
+        n, k, reduced, picks = case
+        plan = jump_space(n, k, reduced)
+        ties = [c for c in _full_space_ties(n, k) if search._in_plan(plan, c)]
+        picked = sorted({ties[i % len(ties)] for i in picks})
+        assert search._unit_closure(n, plan, picked) == oracles.unit_closure(n, plan, picked)
 
 
 class TestDivisorParts:

@@ -128,6 +128,21 @@ class TestCirculant:
         di = sorted(bfs_oracle(t.adjacency, i % js.n).values())
         assert d0 == di
 
+    def test_rows_match_the_comprehension(self):
+        # For each n, three jumps below n/2 drawn from a seed of n, then the
+        # same with n/2 added: the rows must be the same sorted tuples of
+        # Python ints.
+        for n in range(4, 301):
+            hi = (n - 1) // 2
+            below = tuple(random.Random(n).sample(range(1, hi + 1), min(3, hi)))
+            for jumps in (below, below + (n // 2,)) if n % 2 == 0 else (below,):
+                js = JumpSet(n, jumps)
+                got = circulant(js).adjacency
+                assert got == oracles.circulant_adjacency(js), js
+                assert type(got) is tuple
+                assert all(type(row) is tuple for row in got)
+                assert all(type(v) is int for row in got for v in row)
+
 
 class TestConnectivity:
     def test_gcd_two_components(self):
